@@ -15,10 +15,12 @@ The tracer records two kinds of timing data on a shared timeline:
 The default tracer is **disabled**: :func:`span` then returns a shared
 no-op context manager and :meth:`Tracer.add_event` returns ``None``
 without allocating, so instrumentation left in hot paths costs one
-attribute check (the ``BENCH_obs.json`` overhead guard keeps this
-honest).  Exporters for Chrome ``chrome://tracing`` / Perfetto and for
-nested JSON span trees live in :mod:`repro.obs.export`; naming
-conventions are documented in ``docs/observability.md``.
+attribute check (every untraced ``benchmarks/e2e`` run times this
+default path, and a ``--trace 1`` run reports the cost of recording
+spans as ``trace.overhead_ratio``).  Exporters for Chrome
+``chrome://tracing`` / Perfetto and for nested JSON span trees live in
+:mod:`repro.obs.export`; naming conventions are documented in
+``docs/observability.md``.
 """
 
 from __future__ import annotations

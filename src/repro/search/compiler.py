@@ -10,7 +10,8 @@ through the microbatch efficiency, each collective only through its
 ``(N_PP, N_ub)``.  :class:`CompiledSweep` factors Eq. 1 along those
 lines once per sweep and fills one lookup table per term on demand;
 evaluating a candidate then costs a handful of key projections, table
-lookups and additions (``BENCH_dse.json`` records the throughput).
+lookups and additions (the ``planner-sweeps`` workload of
+``benchmarks/e2e`` measures the throughput).
 
 **Bit-exactness contract.**  Table entries are produced by calling the
 *same* estimator functions the collapsed path calls

@@ -47,6 +47,7 @@ from repro.core.compute import (
 from repro.core.model import AMPeD
 from repro.core.operations import build_operations
 from repro.errors import (
+    ConfigurationError,
     MappingError,
     MemoryCapacityError,
     require_finite_fields,
@@ -147,7 +148,8 @@ def explore(amped: AMPeD, global_batch: int,
     enforce_memory:
         Drop mappings whose footprint exceeds the accelerator memory.
     max_results:
-        Truncate the (sorted) result list.
+        Truncate the (sorted) result list; must be ``>= 1`` when given
+        (:class:`~repro.errors.ConfigurationError` otherwise).
     prune:
         Skip mappings whose compute + communication lower bound (from
         the sweep compiler's term tables) exceeds the incumbent
@@ -170,6 +172,7 @@ def explore(amped: AMPeD, global_batch: int,
         All paths agree within floating-point associativity and produce
         identical skip categories and rankings.
     """
+    validate_max_results(max_results)
     if mappings is None:
         mappings = enumerate_mappings(amped.system, amped.model)
     if not enforce_memory:
@@ -222,6 +225,15 @@ def explore(amped: AMPeD, global_batch: int,
                        workers=workers if workers else 1,
                        global_batch=global_batch)
         return results
+
+
+def validate_max_results(max_results: Optional[int]) -> None:
+    """Raise :class:`ConfigurationError` unless ``max_results`` is
+    ``None`` or a positive count: a ranking truncated to nothing has no
+    incumbent for the pruner to compare against."""
+    if max_results is not None and max_results < 1:
+        raise ConfigurationError(
+            f"max_results must be at least 1, got {max_results}")
 
 
 def evaluate_candidate(template: AMPeD, spec: ParallelismSpec,

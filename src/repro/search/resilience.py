@@ -77,6 +77,7 @@ from repro.search.dse import (
     ExplorationResult,
     _BoundPruner,
     evaluate_candidate,
+    validate_max_results,
 )
 from repro.search.vectorized import (
     DEFAULT_CHUNK_CANDIDATES,
@@ -683,6 +684,7 @@ def run_sweep(template: AMPeD, global_batch: int,
         produces the same ranking and skip categories, so a journal
         written under one path resumes deterministically under another.
     """
+    validate_max_results(max_results)
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None

@@ -46,12 +46,9 @@ bit-exactness argument.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import threading
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, MappingError
@@ -73,25 +70,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
 #: Whether the NumPy backend is importable in this process.
 HAVE_NUMPY = _np is not None
 
-#: Fallback candidate count at which :func:`resolve_evaluation_path`
-#: auto-selects the vectorized backend for a default ``"compiled"``
-#: sweep.  Below it the pure-python path wins (array setup costs more
-#: than it saves).  When ``BENCH_trajectory.json`` carries measured
-#: per-path rates, :func:`auto_vectorize_threshold` replaces this
-#: constant with the machine's own break-even point.
-AUTO_VECTORIZE_THRESHOLD = 2048
-
-#: Bounds on the self-tuned threshold: below the floor the array
-#: backend's fixed setup can never win, above the ceiling the tuner is
-#: extrapolating noise (it effectively disables the auto-upgrade).
-THRESHOLD_CLAMP = (256, 1 << 20)
-
-#: Environment override for the auto-upgrade threshold (an integer);
-#: takes precedence over both the trajectory fit and the constant.
-THRESHOLD_ENV_VAR = "AMPED_VECTORIZE_THRESHOLD"
-
-#: Environment override for the trajectory file consulted by the tuner.
-TRAJECTORY_ENV_VAR = "AMPED_BENCH_TRAJECTORY"
+#: Candidate count at which :func:`resolve_evaluation_path` upgrades a
+#: default ``"compiled"`` sweep to the vectorized backend; below it the
+#: array setup costs more than it saves.  It is the break-even
+#: ``n* = setup / (t_compiled - t_bind - t_vectorized)`` measured at
+#: commit bc27a3d: compiled evaluation 3.60 us per candidate, binding
+#: 2.19 us, vectorized evaluation 0.31 us and a 0.475 ms fixed setup
+#: per batch give n* = 0.475 ms / 1.10 us = 434.
+AUTO_VECTORIZE_THRESHOLD = 434
 
 #: Candidates evaluated per array batch inside ``run_sweep`` — bounds
 #: array memory and keeps the journal/SIGINT boundary responsive.
@@ -127,132 +113,21 @@ def resolve_evaluation_path(requested: str, n_candidates: int) -> str:
     importable (raising otherwise — never a silent downgrade); a
     default ``"compiled"`` request is upgraded to ``"vectorized"`` when
     NumPy is available and the sweep is large enough to amortize array
-    setup (the :func:`auto_vectorize_threshold` break-even, self-tuned
-    from the benchmark trajectory when one is available).  Everything
+    setup (the :data:`AUTO_VECTORIZE_THRESHOLD` break-even).  Everything
     else passes through untouched.
     """
     if requested == "vectorized":
         require_numpy()
         return requested
     if (requested == "compiled" and HAVE_NUMPY
-            and n_candidates >= auto_vectorize_threshold()):
+            and n_candidates >= AUTO_VECTORIZE_THRESHOLD):
         return "vectorized"
     return requested
 
 
-# ---------------------------------------------------------------------------
-# Self-tuned auto-upgrade threshold (PR 6 follow-up)
-# ---------------------------------------------------------------------------
-
-#: Resolved threshold cache: ``(value, source)`` or ``None`` before the
-#: first resolution.  Guarded by ``_STATS_LOCK`` (same contention
-#: domain: serve handler threads race the metrics endpoint).
-_THRESHOLD: Optional[Tuple[int, str]] = None
-
-
-def _trajectory_paths(explicit=None) -> List[Path]:
-    if explicit is not None:
-        return [Path(explicit)]
-    env = os.environ.get(TRAJECTORY_ENV_VAR)
-    if env:
-        return [Path(env)]
-    # Benchmarks run from the repo root; installed trees fall through
-    # to the constant when neither candidate exists.
-    return [Path.cwd() / "BENCH_trajectory.json",
-            Path(__file__).resolve().parents[3] / "BENCH_trajectory.json"]
-
-
-def _fit_threshold(entries: List[dict]) -> Optional[int]:
-    """Break-even candidate count from the newest usable trajectory row.
-
-    Costs per candidate, from the row's measured rates: the compiled
-    path pays ``t_c = 1/compiled_mappings_per_s``; the vectorized path
-    pays a fixed per-batch setup ``f0 = vectorized_setup_seconds``
-    (measured by binding a deliberately tiny chunk) plus a linear bind
-    cost ``t_b = (build - f0)/n`` plus ``t_v = 1/vectorized rate``.
-    Vectorized wins once ``n * t_c >= f0 + n * (t_b + t_v)``, i.e. at
-
-        n* = f0 / (t_c - t_b - t_v)
-
-    A non-positive denominator means binding alone outweighs the
-    compiled path on this machine — the tuner then pins the ceiling,
-    which disables the auto-upgrade rather than guessing.
-    """
-    for entry in reversed(entries):
-        try:
-            t_c = 1.0 / float(entry["compiled_mappings_per_s"])
-            t_v = 1.0 / float(entry["vectorized_mappings_per_s"])
-            setup = float(entry["vectorized_setup_seconds"])
-            build = float(entry["vectorized_build_seconds"])
-            n_ref = float(entry["vectorized_n_candidates"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            continue  # pre-tuning rows (or damaged ones): keep looking
-        if n_ref <= 0 or setup < 0 or build < setup or t_c <= 0 or t_v <= 0:
-            continue
-        linear_bind = (build - setup) / n_ref
-        margin = t_c - linear_bind - t_v
-        low, high = THRESHOLD_CLAMP
-        if margin <= 0.0:
-            return high
-        return max(low, min(high, math.ceil(setup / margin)))
-    return None
-
-
-def auto_vectorize_threshold(trajectory_path=None) -> int:
-    """The auto-upgrade threshold in force, resolved once per process.
-
-    Precedence: the :data:`THRESHOLD_ENV_VAR` integer override, then a
-    break-even fit over measured per-path rates in the benchmark
-    trajectory (:data:`TRAJECTORY_ENV_VAR` or the repo's
-    ``BENCH_trajectory.json``), then :data:`AUTO_VECTORIZE_THRESHOLD`.
-    ``vectorized_stats()`` reports the resolved value and its source.
-    """
-    global _THRESHOLD
-    with _STATS_LOCK:
-        if _THRESHOLD is not None and trajectory_path is None:
-            return _THRESHOLD[0]
-    override = os.environ.get(THRESHOLD_ENV_VAR)
-    resolved: Optional[Tuple[int, str]] = None
-    if override:
-        try:
-            low, high = THRESHOLD_CLAMP
-            resolved = (max(1, min(high, int(override))), "env")
-        except ValueError:
-            resolved = None  # fall through to the fit, like unset
-    if resolved is None:
-        for path in _trajectory_paths(trajectory_path):
-            try:
-                entries = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if not isinstance(entries, list):
-                continue
-            fitted = _fit_threshold(entries)
-            if fitted is not None:
-                resolved = (fitted, f"trajectory:{path.name}")
-                break
-    if resolved is None:
-        resolved = (AUTO_VECTORIZE_THRESHOLD, "constant")
-    with _STATS_LOCK:
-        if trajectory_path is None:
-            _THRESHOLD = resolved
-    return resolved[0]
-
-
 def threshold_info() -> Dict[str, object]:
-    """The resolved threshold and where it came from (``constant``,
-    ``env``, or ``trajectory:<file>``); resolves on first use."""
-    auto_vectorize_threshold()
-    with _STATS_LOCK:
-        value, source = _THRESHOLD  # type: ignore[misc]
-    return {"threshold": value, "source": source}
-
-
-def clear_threshold_cache() -> None:
-    """Forget the resolved threshold (tests, env changes)."""
-    global _THRESHOLD
-    with _STATS_LOCK:
-        _THRESHOLD = None
+    """The auto-upgrade threshold in force and where it came from."""
+    return {"threshold": AUTO_VECTORIZE_THRESHOLD, "source": "constant"}
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +149,7 @@ def vectorized_stats() -> Dict[str, float]:
     array bytes, lanes evaluated (``cache.vectorized.*`` gauges)."""
     with _STATS_LOCK:
         stats = dict(_STATS)
-        resolved = _THRESHOLD
     stats["available"] = 1 if HAVE_NUMPY else 0
-    if resolved is not None:  # report only once resolved: no IO here
-        stats["auto_threshold"] = resolved[0]
     return stats
 
 

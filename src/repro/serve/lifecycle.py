@@ -396,6 +396,9 @@ class EstimationService:
                 spec = spec_from_totals(
                     system, tp=req.tp, pp=req.pp, dp=req.dp,
                     n_microbatches=req.microbatches)
+                # Checked per request: a mapping the model cannot honor
+                # would otherwise fail the whole group's evaluation.
+                spec.validate_against_model(model.n_layers, model.n_heads)
             except MappingError as error:
                 responses[index] = (422, error_body(
                     "mapping_infeasible", str(error)))

@@ -75,6 +75,15 @@ class TestCommands:
             in captured.out + captured.err
         assert "'bogus'" in captured.out + captured.err
 
+    def test_sweep_rejects_top_zero(self, capsys):
+        exit_code = main(["sweep", "--nodes", "2",
+                          "--model", "megatron-1.7b", "--batch", "256",
+                          "--top", "0"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: max_results must be at least 1, got 0"]
+
     def test_experiment_fig3(self, capsys):
         exit_code = main(["experiment", "fig3"])
         assert exit_code == 0

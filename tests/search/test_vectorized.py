@@ -10,6 +10,7 @@ observability surface.
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 from dataclasses import replace
@@ -47,6 +48,7 @@ from repro.search.vectorized import (
     evaluate_chunk,
     require_numpy,
     resolve_evaluation_path,
+    threshold_info,
     vectorized_stats,
 )
 from repro.transformer.zoo import MODELS
@@ -196,31 +198,34 @@ class TestEvaluateChunk:
 
 
 class TestPathSelection:
-    @pytest.fixture(autouse=True)
-    def _fresh_threshold(self):
-        # The auto-upgrade threshold self-tunes from the benchmark
-        # trajectory, so tests compare against the resolved value
-        # rather than the AUTO_VECTORIZE_THRESHOLD fallback constant.
-        vectorized_module.clear_threshold_cache()
-        yield
-        vectorized_module.clear_threshold_cache()
-
     def test_explicit_vectorized_passes_through(self):
         assert resolve_evaluation_path(
             "vectorized", 1) == "vectorized"
 
     def test_compiled_upgrades_at_threshold(self):
-        threshold = vectorized_module.auto_vectorize_threshold()
-        assert resolve_evaluation_path(
-            "compiled", threshold) == "vectorized"
+        assert resolve_evaluation_path("compiled", 434) == "vectorized"
 
     def test_compiled_stays_below_threshold(self):
-        threshold = vectorized_module.auto_vectorize_threshold()
-        assert resolve_evaluation_path(
-            "compiled", threshold - 1) == "compiled"
+        assert resolve_evaluation_path("compiled", 433) == "compiled"
 
     def test_constant_is_the_fallback_floor(self):
         assert AUTO_VECTORIZE_THRESHOLD >= 1
+
+    def test_working_directory_and_environment_do_not_move_it(
+            self, tmp_path, monkeypatch):
+        # Measured rates that would fit a break-even of 1000 candidates,
+        # and an override asking for 1: the sweep path ignores both.
+        (tmp_path / "BENCH_trajectory.json").write_text(json.dumps([{
+            "compiled_mappings_per_s": 1e5,
+            "vectorized_mappings_per_s": 1e6,
+            "vectorized_setup_seconds": 0.009,
+            "vectorized_build_seconds": 0.009,
+            "vectorized_n_candidates": 1000,
+        }]))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("AMPED_VECTORIZE_THRESHOLD", "1")
+        assert resolve_evaluation_path("compiled", 433) == "compiled"
+        assert threshold_info() == {"threshold": 434, "source": "constant"}
 
     @pytest.mark.parametrize("path", ["per_layer", "collapsed"])
     def test_other_paths_untouched(self, path):

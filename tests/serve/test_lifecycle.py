@@ -266,6 +266,23 @@ class TestRealEvaluation:
             assert pending.payload["batch_time_s"] == pytest.approx(
                 solo.payload["batch_time_s"], rel=1e-12)
 
+    def test_infeasible_mapping_does_not_fail_its_group(self):
+        # pp=1024 exceeds megatron-1t's 128 layers; the other two
+        # mappings in the coalesced group still answer.
+        service = EstimationService(default_deadline_s=60.0,
+                                    queue_limit=8)
+        grouped = [service.submit(
+            EstimateRequest(model="megatron-1t", nodes=128,
+                            accel_per_node=8, tp=tp, pp=pp, dp=dp,
+                            batch=2048))
+            for tp, pp, dp in [(8, 64, 2), (8, 32, 4), (1, 1024, 1)]]
+        for pending in list(grouped):
+            service._queue.get_nowait()
+        service.process_batch(grouped)
+        assert [p.status for p in grouped] == [200, 200, 422]
+        assert grouped[2].payload["error"]["code"] == "mapping_infeasible"
+        assert "128 layers" in grouped[2].payload["error"]["message"]
+
     def test_warm_marks_cache(self):
         service = EstimationService()
         service.warm(EstimateRequest(model="mingpt-85m", nodes=2,
