@@ -104,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="eval_mode",
                        help="evaluation path for every candidate "
                             "(default: compiled — term-table lookups, "
-                            "auto-upgraded to vectorized on large "
-                            "sweeps when NumPy is available; all "
-                            "paths rank identically)")
+                            "run as vectorized array programs when "
+                            "NumPy is available; all paths rank "
+                            "identically)")
 
     validate = sub.add_parser(
         "validate", help="reproduce the paper's validation tables")

@@ -15,6 +15,7 @@ node boundary:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.hardware.accelerator import AcceleratorSpec
@@ -71,12 +72,15 @@ class NodeSpec:
         """
         return self.aggregate_inter_bandwidth_bits_per_s / self.n_accelerators
 
-    @property
+    @cached_property
     def effective_inter_link(self) -> LinkSpec:
         """The inter-node link as seen by one accelerator.
 
         Latency is the NIC latency; bandwidth is this accelerator's share
-        of the node's aggregate NIC bandwidth.
+        of the node's aggregate NIC bandwidth.  Computed once per node
+        (the communication terms read it for every candidate of a
+        sweep); the cached value lives outside the dataclass fields, so
+        it never enters ``==``, ``hash`` or ``repr``.
         """
         return self.inter_link.with_bandwidth(
             self.inter_bandwidth_per_accelerator_bits_per_s,

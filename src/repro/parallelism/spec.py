@@ -21,7 +21,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, MappingError, require_finite
@@ -61,20 +61,20 @@ class ParallelismSpec:
     bubble_overlap_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("tp_intra", "tp_inter", "pp_intra",
-                     "pp_inter", "dp_intra", "dp_inter"):
+        for name in _DEGREE_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool subclasses int but is no count.
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
                 raise ConfigurationError(
                     f"{name} must be an integer >= 1, got {value!r}")
-        if self.n_microbatches is not None and self.n_microbatches < 1:
-            raise ConfigurationError(
-                f"n_microbatches must be >= 1, got {self.n_microbatches}")
+        _check_microbatches(self.n_microbatches)
         require_finite("bubble_overlap_ratio", self.bubble_overlap_ratio)
-        if self.bubble_overlap_ratio < 0:
+        _check_overlap_sign(self.bubble_overlap_ratio)
+        if not isinstance(self.expert_parallel, bool):
             raise ConfigurationError(
-                f"bubble_overlap_ratio must be >= 0, got "
-                f"{self.bubble_overlap_ratio}")
+                f"expert_parallel must be a bool, got "
+                f"{self.expert_parallel!r}")
 
     # -- aggregate degrees ---------------------------------------------------
 
@@ -155,12 +155,29 @@ class ParallelismSpec:
     # -- derived helpers -----------------------------------------------------
 
     def with_microbatches(self, n_microbatches: int) -> "ParallelismSpec":
-        """A copy with an explicit microbatch count."""
-        return replace(self, n_microbatches=n_microbatches)
+        """A copy with an explicit microbatch count.
+
+        Equal to ``dataclasses.replace(self, n_microbatches=...)`` but
+        validates only the changed field: the rest were checked when
+        ``self`` was built.  Sweeps call this once per tuned candidate.
+        """
+        _check_microbatches(n_microbatches)
+        return self._copy_with("n_microbatches", n_microbatches)
 
     def with_overlap(self, bubble_overlap_ratio: float) -> "ParallelismSpec":
-        """A copy with a different bubble overlap ratio ``R``."""
-        return replace(self, bubble_overlap_ratio=bubble_overlap_ratio)
+        """A copy with a different bubble overlap ratio ``R``.
+
+        Like :meth:`with_microbatches`, validates only ``R``.
+        """
+        require_finite("bubble_overlap_ratio", bubble_overlap_ratio)
+        _check_overlap_sign(bubble_overlap_ratio)
+        return self._copy_with("bubble_overlap_ratio", bubble_overlap_ratio)
+
+    def _copy_with(self, name: str, value: object) -> "ParallelismSpec":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__[name] = value
+        return clone
 
     def describe(self) -> str:
         """Compact human-readable mapping summary."""
@@ -171,6 +188,28 @@ class ParallelismSpec:
             if intra > 1 or inter > 1:
                 parts.append(f"{label}={intra}x{inter}")
         return ", ".join(parts) if parts else "serial"
+
+
+_DEGREE_FIELDS = ("tp_intra", "tp_inter", "pp_intra",
+                  "pp_inter", "dp_intra", "dp_inter")
+
+
+def _check_microbatches(value: object) -> None:
+    if value is None:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"n_microbatches must be an integer >= 1 or None, got "
+            f"{value!r}")
+    if value < 1:
+        raise ConfigurationError(
+            f"n_microbatches must be >= 1, got {value}")
+
+
+def _check_overlap_sign(value: float) -> None:
+    if value < 0:
+        raise ConfigurationError(
+            f"bubble_overlap_ratio must be >= 0, got {value}")
 
 
 def spec_from_totals(system: SystemSpec, tp: int = 1, pp: int = 1,

@@ -676,10 +676,10 @@ def run_sweep(template: AMPeD, global_batch: int,
     evaluation_path:
         How each candidate evaluates Eq. 1 (``"compiled"`` default;
         see :func:`repro.search.dse.explore`) — overrides the
-        template's own setting.  ``"compiled"`` auto-upgrades to
-        ``"vectorized"`` for large sweeps when NumPy is importable
-        (unless a custom ``evaluate`` or ``enforce_memory`` forces
-        per-candidate evaluation).  Recorded in the journal header for
+        template's own setting.  ``"compiled"`` runs as
+        ``"vectorized"`` whenever NumPy is importable, unless a custom
+        ``evaluate`` or ``enforce_memory`` forces per-candidate
+        evaluation on the scalar walk.  Recorded in the journal header for
         provenance but *not* part of the resume identity: every path
         produces the same ranking and skip categories, so a journal
         written under one path resumes deterministically under another.
@@ -691,8 +691,8 @@ def run_sweep(template: AMPeD, global_batch: int,
     if custom_evaluate or enforce_memory:
         # Custom evaluators and memory enforcement are inherently
         # per-candidate; the batch backend cannot replay them, so an
-        # explicit request still validates NumPy but the auto-upgrade
-        # never fires.
+        # explicit request still validates NumPy but the sweep stays
+        # on the scalar route.
         if evaluation_path == "vectorized":
             require_numpy()
     else:
@@ -739,19 +739,34 @@ def run_sweep(template: AMPeD, global_batch: int,
     # re-evaluated, and feed the pruner's incumbents so the resumed
     # branch-and-bound stays exact.
     done = journal.done if journal else {}
-    for record in done.values():
-        if record["status"] == "evaluated":
-            result = _result_from_record(record, global_batch)
-            results.append(result)
-            if pruner is not None:
-                pruner.record(result)
-            report.resumed += 1
-        else:
-            report.record_skip(record["category"])
-    pending = [spec for spec in mappings if spec_key(spec) not in done]
+    try:
+        for record in done.values():
+            if record["status"] == "evaluated":
+                result = _result_from_record(record, global_batch)
+                results.append(result)
+                if pruner is not None:
+                    pruner.record(result)
+                report.resumed += 1
+            else:
+                report.record_skip(record["category"])
+    except (KeyError, TypeError, ReproError) as error:
+        # A corrupt record (missing field, unknown field, or a value
+        # the result types reject) is a configuration error naming
+        # the journal, never a traceback.
+        journal.close()
+        detail = str(error) if isinstance(error, ReproError) \
+            else repr(error)
+        raise ConfigurationError(
+            f"journal {journal.path}: malformed candidate record: "
+            f"{detail}") from None
+    # Journal keys cost a JSON dump per candidate; only a resumed
+    # journal with finished records needs them.
+    pending = ([spec for spec in mappings if spec_key(spec) not in done]
+               if done else list(mappings))
 
     metrics = get_metrics()
     heartbeat = metrics.gauge("sweep.heartbeat_monotonic_s")
+    chunk_seconds = metrics.histogram("sweep.chunk_seconds")
 
     def absorb(outcome: CandidateOutcome) -> None:
         heartbeat.set(time.monotonic())
@@ -854,6 +869,7 @@ def run_sweep(template: AMPeD, global_batch: int,
                     interrupted = True
                     break
                 if use_vectorized:
+                    chunk_started = time.perf_counter()
                     need_bounds = pruner is not None
                     if (vector_driver is not None
                             and not vector_driver.degraded):
@@ -936,6 +952,8 @@ def run_sweep(template: AMPeD, global_batch: int,
                                 outcome = evaluate_serially(spec)
                             absorb(outcome)
                         live.set_attrs(scalar_fallbacks=fallbacks)
+                    chunk_seconds.observe(
+                        time.perf_counter() - chunk_started)
                     if interrupted:
                         break
                     continue

@@ -33,13 +33,14 @@ is likewise one segmented ``maximum.reduceat`` over efficiencies plus a
 no-bubble evaluation — one array compare replaces per-candidate
 ``lower_bound`` calls.
 
-NumPy is an **optional** dependency: without it,
+NumPy is an **optional** dependency.  With it installed,
+:func:`resolve_evaluation_path` routes every default ``"compiled"``
+sweep, whatever its size, to this backend: the array program is faster
+than the scalar walk even on sweeps of a few dozen candidates, and
+both read the same term tables.  Without NumPy, sweeps run on the
+pure-python ``"compiled"`` path, and an explicit
 ``evaluation_path="vectorized"`` raises a
-:class:`~repro.errors.ConfigurationError` (CLI exit code 2) and the
-pure-python ``"compiled"`` path remains the default and the fallback.
-With NumPy installed, :func:`resolve_evaluation_path` auto-upgrades
-``"compiled"`` sweeps to the vectorized backend once the candidate
-count crosses :data:`AUTO_VECTORIZE_THRESHOLD`.  See
+:class:`~repro.errors.ConfigurationError` (CLI exit code 2).  See
 ``docs/performance.md`` for the key-index layout and the full
 bit-exactness argument.
 """
@@ -69,15 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
 
 #: Whether the NumPy backend is importable in this process.
 HAVE_NUMPY = _np is not None
-
-#: Candidate count at which :func:`resolve_evaluation_path` upgrades a
-#: default ``"compiled"`` sweep to the vectorized backend; below it the
-#: array setup costs more than it saves.  It is the break-even
-#: ``n* = setup / (t_compiled - t_bind - t_vectorized)`` measured at
-#: commit bc27a3d: compiled evaluation 3.60 us per candidate, binding
-#: 2.19 us, vectorized evaluation 0.31 us and a 0.475 ms fixed setup
-#: per batch give n* = 0.475 ms / 1.10 us = 434.
-AUTO_VECTORIZE_THRESHOLD = 434
 
 #: Candidates evaluated per array batch inside ``run_sweep`` — bounds
 #: array memory and keeps the journal/SIGINT boundary responsive.
@@ -111,23 +103,22 @@ def resolve_evaluation_path(requested: str, n_candidates: int) -> str:
 
     An explicit ``"vectorized"`` request validates that NumPy is
     importable (raising otherwise — never a silent downgrade); a
-    default ``"compiled"`` request is upgraded to ``"vectorized"`` when
-    NumPy is available and the sweep is large enough to amortize array
-    setup (the :data:`AUTO_VECTORIZE_THRESHOLD` break-even).  Everything
-    else passes through untouched.
+    default ``"compiled"`` request runs on the NumPy backend whenever
+    NumPy imports, at any ``n_candidates``.  Everything else passes
+    through untouched.
     """
     if requested == "vectorized":
         require_numpy()
         return requested
-    if (requested == "compiled" and HAVE_NUMPY
-            and n_candidates >= AUTO_VECTORIZE_THRESHOLD):
+    if requested == "compiled" and HAVE_NUMPY:
         return "vectorized"
     return requested
 
 
 def threshold_info() -> Dict[str, object]:
-    """The auto-upgrade threshold in force and where it came from."""
-    return {"threshold": AUTO_VECTORIZE_THRESHOLD, "source": "constant"}
+    """The candidate count from which ``"compiled"`` sweeps run
+    vectorized: every sweep, so the threshold is one candidate."""
+    return {"threshold": 1, "source": "constant"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Unit tests for ParallelismSpec and placement."""
 
+import math
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError, MappingError
@@ -50,6 +54,92 @@ class TestDegrees:
 
     def test_describe_omits_unit_degrees(self):
         assert ParallelismSpec(tp_intra=8).describe() == "TP=8x1"
+
+
+class TestFieldTypes:
+    """Counts are genuine ints and ``expert_parallel`` a genuine bool:
+    ``bool`` subclasses ``int`` and floats compare like numbers, so
+    neither may slip through the range checks."""
+
+    def test_rejects_fractional_microbatches(self):
+        with pytest.raises(ConfigurationError, match="n_microbatches"):
+            ParallelismSpec(n_microbatches=2.5)
+
+    def test_rejects_integral_float_microbatches(self):
+        with pytest.raises(ConfigurationError, match="n_microbatches"):
+            ParallelismSpec(n_microbatches=4.0)
+
+    def test_rejects_bool_microbatches(self):
+        with pytest.raises(ConfigurationError, match="n_microbatches"):
+            ParallelismSpec(n_microbatches=True)
+
+    @pytest.mark.parametrize("name", ["tp_intra", "tp_inter", "pp_intra",
+                                      "pp_inter", "dp_intra", "dp_inter"])
+    def test_rejects_bool_degree(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            ParallelismSpec(**{name: True})
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_rejects_non_bool_expert_parallel(self, value):
+        with pytest.raises(ConfigurationError, match="expert_parallel"):
+            ParallelismSpec(expert_parallel=value)
+
+    def test_accepts_none_and_positive_int_microbatches(self):
+        assert ParallelismSpec(pp_inter=4).microbatches == 4
+        assert ParallelismSpec(n_microbatches=1).microbatches == 1
+
+
+def _error_message(build):
+    with pytest.raises(ConfigurationError) as excinfo:
+        build()
+    return str(excinfo.value)
+
+
+class TestFastCopies:
+    """``with_microbatches``/``with_overlap`` skip re-validating the
+    unchanged fields but must otherwise behave exactly like
+    ``dataclasses.replace``."""
+
+    BASE = ParallelismSpec(tp_intra=2, pp_intra=2, dp_inter=4,
+                           expert_parallel=False,
+                           bubble_overlap_ratio=0.75)
+
+    @pytest.mark.parametrize("value", [1, 7, 64, None])
+    def test_with_microbatches_equals_replace(self, value):
+        fast = self.BASE.with_microbatches(value)
+        slow = replace(self.BASE, n_microbatches=value)
+        assert type(fast) is ParallelismSpec
+        assert fast == slow
+        assert hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        assert pickle.loads(pickle.dumps(fast)) == slow
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1.0, 2])
+    def test_with_overlap_equals_replace(self, value):
+        fast = self.BASE.with_overlap(value)
+        slow = replace(self.BASE, bubble_overlap_ratio=value)
+        assert fast == slow
+        assert hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        assert pickle.loads(pickle.dumps(fast)) == slow
+
+    def test_copies_leave_the_original_alone(self):
+        before = repr(self.BASE)
+        self.BASE.with_microbatches(3).with_overlap(0.1)
+        assert repr(self.BASE) == before
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 4.0, True, "8"])
+    def test_with_microbatches_rejects_like_replace(self, value):
+        assert _error_message(
+            lambda: self.BASE.with_microbatches(value)) == _error_message(
+            lambda: replace(self.BASE, n_microbatches=value))
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, "x",
+                                       None])
+    def test_with_overlap_rejects_like_replace(self, value):
+        assert _error_message(
+            lambda: self.BASE.with_overlap(value)) == _error_message(
+            lambda: replace(self.BASE, bubble_overlap_ratio=value))
 
 
 class TestValidation:

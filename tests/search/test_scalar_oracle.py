@@ -1,0 +1,88 @@
+"""The scalar compiled route is the oracle for every default sweep.
+
+With NumPy importable, ``run_sweep`` and ``explore`` run every default
+(``"compiled"``) sweep on the vectorized binder, whatever its size.
+These tests keep the scalar route honest as an independent reference:
+on seeded planner cells (zoo model x cluster size x global batch) the
+default ranked sweep must equal the same sweep with NumPy switched
+off, bit for bit — labels, batch times, breakdowns, tuned mappings,
+the evaluated count and every skip count.  The compiled-sweep cache is
+cleared between the two runs so the scalar route fills its own term
+tables instead of reading the ones the array binder filled.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from repro.core.model import AMPeD
+from repro.hardware.catalog import megatron_a100_cluster
+from repro.parallelism.mapping import enumerate_mappings
+from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
+from repro.search import vectorized as vectorized_module
+from repro.search.compiler import clear_compiled_cache
+from repro.search.resilience import run_sweep
+from repro.transformer.zoo import MODELS
+
+NODE_COUNTS = (4, 16, 64, 128)
+GLOBAL_BATCHES = (512, 2048)
+MODELS_PER_SHAPE = 2
+SEED = 20230418
+MAX_RESULTS = 10
+
+
+def _cells():
+    """Two seeded zoo models for every (nodes, batch) shape: 16 cells
+    that cover each cluster size and batch."""
+    rng = random.Random(SEED)
+    keys = sorted(MODELS)
+    return [(key, n_nodes, batch)
+            for n_nodes in NODE_COUNTS for batch in GLOBAL_BATCHES
+            for key in rng.sample(keys, MODELS_PER_SHAPE)]
+
+
+CELLS = _cells()
+
+
+def _ranked(template, batch, mappings):
+    clear_compiled_cache()
+    outcome = run_sweep(template, batch, mappings=mappings,
+                        max_results=MAX_RESULTS)
+    results = [(result.label, result.batch_time_s,
+                result.breakdown.as_dict(), result.parallelism,
+                result.microbatch_size, result.microbatch_efficiency)
+               for result in outcome.results]
+    report = outcome.report
+    return results, report.evaluated, dict(report.skipped)
+
+
+def test_cells_cover_every_shape():
+    assert len(CELLS) >= 12
+    assert {n_nodes for _, n_nodes, _ in CELLS} == set(NODE_COUNTS)
+    assert {batch for _, _, batch in CELLS} == set(GLOBAL_BATCHES)
+
+
+@pytest.mark.parametrize("key,n_nodes,batch", CELLS)
+def test_default_sweep_matches_scalar_route(key, n_nodes, batch,
+                                            monkeypatch):
+    system = replace(megatron_a100_cluster(), n_nodes=n_nodes)
+    model = MODELS[key]
+    template = AMPeD.for_mapping(model, system, dp=system.n_accelerators,
+                                 efficiency=CASE_STUDY_EFFICIENCY)
+    mappings = enumerate_mappings(system, model)
+    assert vectorized_module.resolve_evaluation_path(
+        "compiled", len(mappings)) == "vectorized"
+    vectorized = _ranked(template, batch, mappings)
+
+    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+    assert vectorized_module.resolve_evaluation_path(
+        "compiled", len(mappings)) == "compiled"
+    scalar = _ranked(template, batch, mappings)
+
+    assert vectorized[0], "every planner cell ranks at least one mapping"
+    assert vectorized == scalar

@@ -39,7 +39,6 @@ from repro.search.compiler import (
 )
 from repro.search.dse import evaluate_candidate, explore
 from repro.search.vectorized import (
-    AUTO_VECTORIZE_THRESHOLD,
     BoundBatch,
     bind_chunk,
     evaluate_prebound,
@@ -202,19 +201,17 @@ class TestPathSelection:
         assert resolve_evaluation_path(
             "vectorized", 1) == "vectorized"
 
-    def test_compiled_upgrades_at_threshold(self):
-        assert resolve_evaluation_path("compiled", 434) == "vectorized"
+    def test_compiled_runs_vectorized_from_one_candidate(self):
+        assert resolve_evaluation_path("compiled", 1) == "vectorized"
 
-    def test_compiled_stays_below_threshold(self):
-        assert resolve_evaluation_path("compiled", 433) == "compiled"
-
-    def test_constant_is_the_fallback_floor(self):
-        assert AUTO_VECTORIZE_THRESHOLD >= 1
+    def test_compiled_stays_compiled_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+        assert resolve_evaluation_path("compiled", 1) == "compiled"
 
     def test_working_directory_and_environment_do_not_move_it(
             self, tmp_path, monkeypatch):
         # Measured rates that would fit a break-even of 1000 candidates,
-        # and an override asking for 1: the sweep path ignores both.
+        # and an override asking for 434: the sweep path ignores both.
         (tmp_path / "BENCH_trajectory.json").write_text(json.dumps([{
             "compiled_mappings_per_s": 1e5,
             "vectorized_mappings_per_s": 1e6,
@@ -223,9 +220,9 @@ class TestPathSelection:
             "vectorized_n_candidates": 1000,
         }]))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("AMPED_VECTORIZE_THRESHOLD", "1")
-        assert resolve_evaluation_path("compiled", 433) == "compiled"
-        assert threshold_info() == {"threshold": 434, "source": "constant"}
+        monkeypatch.setenv("AMPED_VECTORIZE_THRESHOLD", "434")
+        assert resolve_evaluation_path("compiled", 433) == "vectorized"
+        assert threshold_info() == {"threshold": 1, "source": "constant"}
 
     @pytest.mark.parametrize("path", ["per_layer", "collapsed"])
     def test_other_paths_untouched(self, path):
