@@ -87,8 +87,7 @@ def synthesize_trace(path):
         n_nodes=4)
     model = get_model(MODEL)
     base = AMPeD.for_mapping(model, system, tp=4, pp=1, dp=8,
-                             efficiency=CASE_STUDY_EFFICIENCY,
-                             evaluation_path="collapsed")
+                             efficiency=CASE_STUDY_EFFICIENCY)
     measured = TRUTH.apply(base)
 
     tracer = get_tracer()
@@ -97,8 +96,7 @@ def synthesize_trace(path):
         scenario = AMPeD.for_mapping(
             model, measured.system, tp=tp, pp=pp, dp=dp,
             n_microbatches=n_microbatches,
-            efficiency=measured.efficiency,
-            evaluation_path="collapsed")
+            efficiency=measured.efficiency)
         scenario.estimate_batch(global_batch)
     records = tracer.records()
     tracer.disable()

@@ -81,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--batch", type=int, default=2048)
     sweep.add_argument("--top", type=int, default=10)
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sweep "
-                            "(1 = serial; ranking is identical)")
+                       help="worker processes for sweeps on the scalar "
+                            "route, used only without NumPy (1 = serial; "
+                            "ranking is identical); the NumPy route "
+                            "always runs in this process")
     sweep.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock limit per batch of worker "
@@ -98,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume an interrupted sweep from its "
                             "journal; finished candidates are never "
                             "re-evaluated")
-    sweep.add_argument("--eval-mode", default="compiled",
-                       metavar="{per_layer,collapsed,compiled,"
-                               "vectorized}",
-                       dest="eval_mode",
-                       help="evaluation path for every candidate "
-                            "(default: compiled — term-table lookups, "
-                            "run as vectorized array programs when "
-                            "NumPy is available; all paths rank "
-                            "identically)")
 
     validate = sub.add_parser(
         "validate", help="reproduce the paper's validation tables")
@@ -314,8 +307,7 @@ def _cmd_sweep(args) -> int:
     outcome = run_sweep(template, args.batch, max_results=args.top,
                         workers=args.jobs, timeout=args.timeout,
                         retries=args.retries, journal_path=journal_path,
-                        resume=args.resume is not None,
-                        evaluation_path=args.eval_mode)
+                        resume=args.resume is not None)
     rows = [(r.label, format_duration(r.batch_time_s),
              f"{r.microbatch_size:g}", f"{r.microbatch_efficiency:.2f}",
              format_duration(r.breakdown.comm_time),

@@ -49,7 +49,7 @@ from repro.core.compute import (
 from repro.core.operations import build_operations
 
 #: Recognized Eq. 1 evaluation strategies (see :class:`AMPeD`).
-EVALUATION_PATHS = ("collapsed", "per_layer", "compiled", "vectorized")
+EVALUATION_PATHS = ("per_layer", "compiled", "vectorized")
 
 #: Fields that do NOT identify a sweep (see :meth:`AMPeD.sweep_identity`):
 #: the mapping varies per candidate, the evaluation path is a strategy
@@ -120,13 +120,16 @@ class AMPeD:
         all-gather per layer, reported as the ``comm_zero`` breakdown
         component) instead of Eq. 5's flat ``(1 + M_f_DP)`` factor.
     evaluation_path:
-        How Eq. 1's per-layer sum is evaluated.  ``"collapsed"`` (the
-        default fast path) groups layers into structural equivalence
-        classes — embedding pseudo-layer, dense, MoE — and evaluates
-        each class once, scaling by its multiplicity; Eq. 1 is linear
-        in every per-layer term, so this is exact up to floating-point
-        associativity (``<= 1e-9`` relative on every breakdown
-        component, enforced by the property suite).  ``"per_layer"``
+        How Eq. 1's per-layer sum is evaluated.  ``"compiled"`` (the
+        default) groups layers into structural equivalence classes —
+        embedding pseudo-layer, dense, MoE — and reads each class's
+        terms from the sweep compiler's tables
+        (:mod:`repro.search.compiler`), scaling by the class
+        multiplicity; Eq. 1 is linear in every per-layer term, so this
+        is exact up to floating-point associativity (``<= 1e-9``
+        relative on every breakdown component, enforced by the property
+        suite).  ``"vectorized"`` is the same route for one estimate
+        and selects the NumPy executor in sweeps.  ``"per_layer"``
         walks all ``n_layers`` layers and serves as the literal
         reference path.  See ``docs/performance.md``.
     validate:
@@ -154,7 +157,7 @@ class AMPeD:
     bubble_model: str = "physical"
     comm_overlap_fraction: float = 0.0
     zero_explicit_comm: bool = False
-    evaluation_path: str = "collapsed"
+    evaluation_path: str = "compiled"
     validate: bool = True
 
     def __post_init__(self) -> None:
@@ -228,7 +231,7 @@ class AMPeD:
     def estimate_batch(self, global_batch: int) -> TrainingTimeBreakdown:
         """Evaluate Eq. 1's bracket for one batch, per component."""
         spec = self.parallelism
-        if self.evaluation_path in ("compiled", "vectorized"):
+        if self.evaluation_path != "per_layer":
             # Term-table route: identical arithmetic, factored into
             # per-term lookup tables shared across the whole sweep.
             # A lone estimate has no batch to vectorize, so
@@ -272,17 +275,10 @@ class AMPeD:
             "comm_gradient_intra", "comm_gradient_inter", "comm_zero",
             "bubble"), 0.0)
 
-        # Eq. 1 is linear in every per-layer term, so the collapsed fast
-        # path evaluates one representative per structural layer class
-        # and weights it by the class multiplicity; the per-layer
-        # reference path weights every layer by 1.
-        if self.evaluation_path == "collapsed":
-            groups = [(cls.representative, float(cls.multiplicity))
-                      for cls in operations.layer_classes]
-        else:
-            groups = [(layer, 1.0) for layer in operations.layers]
-
-        for layer, weight in groups:
+        # The per-layer reference walk, kept as the oracle: the
+        # term-table route above evaluates one representative per layer
+        # class instead (Eq. 1 is linear in every per-layer term).
+        for layer in operations.layers:
             u_f = forward_compute_time(layer, accelerator, self.precision,
                                        eff)
             u_b = backward_compute_time(
@@ -291,16 +287,16 @@ class AMPeD:
             u_w = weight_update_time(
                 layer, accelerator, self.precision, eff,
                 self.optimizer_macs_per_parameter)
-            totals["compute_forward"] += weight * u_f / workers
-            totals["compute_backward"] += weight * u_b / workers
-            totals["compute_weight_update"] += weight * u_w / workers
+            totals["compute_forward"] += u_f / workers
+            totals["compute_backward"] += u_b / workers
+            totals["compute_weight_update"] += u_w / workers
 
             gradient = gradient_comm_components(
                 env, layer.gradient_parameters(spec.expert_parallel))
             totals["comm_gradient_intra"] += \
-                weight * gradient["intra"] / stage_share * exposed
+                gradient["intra"] / stage_share * exposed
             totals["comm_gradient_inter"] += \
-                weight * gradient["inter"] / stage_share * exposed
+                gradient["inter"] / stage_share * exposed
 
             if explicit_zero:
                 # one parameter all-gather before the forward pass and
@@ -308,7 +304,7 @@ class AMPeD:
                 gather = zero_gather_time(
                     env, layer.gradient_parameters(spec.expert_parallel))
                 totals["comm_zero"] += \
-                    weight * 2.0 * gather / stage_share * exposed
+                    2.0 * gather / stage_share * exposed
 
             if layer.index < 0:
                 continue  # embedding pseudo-layer: no TP/PP/MoE traffic
@@ -327,11 +323,11 @@ class AMPeD:
             m_f = sum(forward.values())
             m_b = m_f * self.backward_comm_ratio
             scale = 1.0 + self.backward_comm_ratio
-            totals["comm_tp_intra"] += weight * forward["tp_intra"] * scale
-            totals["comm_tp_inter"] += weight * forward["tp_inter"] * scale
-            totals["comm_pp"] += weight * forward["pp"] * scale
-            totals["comm_moe"] += weight * forward["moe"] * scale
-            totals["bubble"] += weight * bubble_time(
+            totals["comm_tp_intra"] += forward["tp_intra"] * scale
+            totals["comm_tp_inter"] += forward["tp_inter"] * scale
+            totals["comm_pp"] += forward["pp"] * scale
+            totals["comm_moe"] += forward["moe"] * scale
+            totals["bubble"] += bubble_time(
                 u_f, u_b, m_f, m_b, self.model.n_layers, spec,
                 model=self.bubble_model)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.model import AMPeD
 from repro.errors import ConfigurationError, require_finite_fields
@@ -190,11 +190,7 @@ def _prepare(base: AMPeD, observations: Sequence[EstimateObservation]
                 f"observation {observation.source or '<unknown>'} "
                 f"carries no positive global_batch; calibration needs "
                 f"the batch size each measurement was taken at")
-        # Collapsed path: exact, cheap, and free of the compiled-table
-        # LRU (whose entries would be invalidated every solver step
-        # anyway, since each step evaluates a different system).
         prepared.append((replace(base, parallelism=mapping,
-                                 evaluation_path="collapsed",
                                  validate=False), global_batch))
     return prepared
 

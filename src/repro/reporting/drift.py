@@ -162,7 +162,6 @@ def compute_drift(amped: AMPeD,
                     f"observation {observation.source or '<unknown>'} "
                     f"carries no positive global_batch")
             modeled = replace(amped, parallelism=mapping,
-                              evaluation_path="collapsed",
                               validate=False) \
                 .estimate_batch(global_batch).as_dict()
             for term in TERM_NAMES:

@@ -1,7 +1,7 @@
 """Term-table sweep compiler: sublinear candidate evaluation for DSE.
 
 A design-space sweep holds the model, the system and the global batch
-fixed and varies only the mapping, yet the collapsed fast path re-walks
+fixed and varies only the mapping, yet a direct evaluation re-walks
 all of Eq. 1 for every candidate.  Most terms depend on only a slice of
 the mapping coordinates (the *minimal key*, see
 :mod:`repro.collectives.keys`): compute terms see the mapping only
@@ -11,19 +11,24 @@ through the microbatch efficiency, each collective only through its
 lines once per sweep and fills one lookup table per term on demand;
 evaluating a candidate then costs a handful of key projections, table
 lookups and additions (the ``planner-sweeps`` workload of
-``benchmarks/e2e`` measures the throughput).
+``benchmarks/e2e`` measures the throughput).  These tables are the
+model's single evaluator: ``AMPeD.estimate_batch`` reads them for one
+estimate (``evaluation_path="compiled"``, the default), and the NumPy
+executor of :mod:`repro.search.vectorized` reads the same tables for
+whole sweeps.
 
 **Bit-exactness contract.**  Table entries are produced by calling the
-*same* estimator functions the collapsed path calls
+*same* estimator functions the per-layer reference walk of
+:meth:`repro.core.model.AMPeD.estimate_batch` calls
 (:func:`~repro.core.compute.forward_compute_time`,
-:func:`~repro.core.communication.tp_comm_time`, ...), and the combiner
-replays :meth:`repro.core.model.AMPeD.estimate_batch`'s arithmetic
-operation for operation, in the same order.  Two candidates with equal
-term keys receive bit-identical term values (the collective memo of
-:mod:`repro.core.communication` is keyed on the same scalars), so
-``evaluation_path="compiled"`` equals ``"collapsed"`` bit for bit and
-``"per_layer"`` within floating-point associativity (``<= 1e-9``
-relative, enforced by the property suite).
+:func:`~repro.core.communication.tp_comm_time`, ...), once per
+structural layer class, weighted by the class multiplicity.  Two
+candidates with equal term keys receive bit-identical term values (the
+collective memo of :mod:`repro.core.communication` is keyed on the
+same scalars), so a table filled by a whole sweep answers every
+candidate exactly as a table filled for that candidate alone, and the
+result equals ``"per_layer"`` within floating-point associativity
+(``<= 1e-9`` relative, enforced by the property suite).
 
 **Admissible lower bound.**  Every communication term of Eq. 1 is
 independent of the microbatch count, and compute time is monotone
@@ -139,8 +144,8 @@ class CompiledSweep:
         operations = build_operations(self.model, self.global_batch,
                                       self.include_embeddings)
         #: ``(representative, multiplicity, gradient-table, zero-table,
-        #: compute-table)`` per structural layer class, in the collapsed
-        #: path's class order (the combiner must add in the same order).
+        #: compute-table)`` per structural layer class, in
+        #: ``layer_classes`` order (the combiner adds in this order).
         self.classes: List[tuple] = [
             (cls.representative, float(cls.multiplicity), {}, {}, {})
             for cls in operations.layer_classes]
@@ -190,10 +195,10 @@ class CompiledSweep:
                  include_bubble: bool = True) -> tuple:
         """Eq. 1's component totals for one candidate, from the tables.
 
-        Replays ``estimate_batch``'s collapsed loop bit for bit: same
-        class order, same per-term arithmetic, same accumulation
-        association.  With ``include_bubble`` off the bubble total
-        stays 0.0 (the lower bound charges no idle time).
+        One pass over the layer classes in a fixed order, with the
+        per-term arithmetic of the per-layer reference walk scaled by
+        each class's multiplicity.  With ``include_bubble`` off the
+        bubble total stays 0.0 (the lower bound charges no idle time).
         """
         tp_i = spec.tp_intra
         tp_x = spec.tp_inter
@@ -382,13 +387,13 @@ class CompiledSweep:
         return dict(zip(COMPONENT_NAMES, totals))
 
     def breakdown(self, spec: ParallelismSpec) -> TrainingTimeBreakdown:
-        """The candidate's breakdown — value- and error-identical to
-        the collapsed ``estimate_batch``."""
+        """The candidate's breakdown (what ``estimate_batch`` returns
+        on the default path)."""
         return TrainingTimeBreakdown(**self.component_totals(spec))
 
     def batch_time(self, spec: ParallelismSpec) -> Seconds:
         """The candidate's batch time, bit-identical to
-        ``estimate_batch(global_batch).total`` on the collapsed path —
+        ``estimate_batch(global_batch).total`` on the default path —
         including raising the same errors for infeasible microbatches
         and non-finite components."""
         totals = self._combine(spec, self._efficiency_for(spec))
@@ -848,15 +853,6 @@ def install_compiled(compiled: CompiledSweep) -> None:
             _CACHE.move_to_end(compiled.cache_key)
             while len(_CACHE) > MAX_CACHED_SWEEPS:
                 _CACHE.popitem(last=False)
-
-
-def cached_compiled(key: tuple) -> Optional[CompiledSweep]:
-    """The cached instance registered under ``key``, if any — used by
-    shipped :class:`repro.search.vectorized.PreboundChunk` payloads to
-    reattach a warm worker's installed tables instead of carrying a
-    copy per chunk."""
-    with _CACHE_LOCK:
-        return _CACHE.get(key)
 
 
 def compiled_cache_stats() -> Dict[str, int]:

@@ -11,8 +11,11 @@ Three performance levers keep large spaces interactive (see
 - **The sweep compiler** (``evaluation_path="compiled"``, the default):
   Eq. 1 is factored into per-term lookup tables shared across the whole
   sweep (:mod:`repro.search.compiler`); evaluating a candidate becomes
-  key projection + table lookups + additions, bit-identical to the
-  collapsed path.
+  key projection + table lookups + additions.  With NumPy installed
+  the same tables run as one array program over each candidate chunk
+  (:mod:`repro.search.vectorized`), in this process; without it, as a
+  pure-python walk.  The per-layer loop
+  (``evaluation_path="per_layer"``) stays as the reference.
 - **Branch-and-bound pruning** (``prune=True``): an admissible
   compute + communication lower bound — the compiled term tables
   evaluated at the best achievable microbatch efficiency, with the
@@ -22,12 +25,11 @@ Three performance levers keep large spaces interactive (see
   evaluation.  The returned (truncated) ranking is provably identical
   to the unpruned one, and pruning is a no-op when ``max_results`` is
   ``None``.
-- **Process-pool fan-out** (``workers=N``): mappings are evaluated by
-  ``N`` worker processes in submission order, preserving the exact
-  result ordering of the serial path (surfaced as ``--jobs`` on the
-  CLI ``sweep`` command).  A pool initializer warms each worker's
-  operation memo and ships the parent's compiled term tables, so
-  workers never start cold.
+- **Process-pool fan-out** (``workers=N``) on the scalar routes only:
+  mappings are evaluated by ``N`` worker processes in submission
+  order, preserving the exact result ordering of the serial path.  A
+  pool initializer warms each worker's operation memo and ships the
+  parent's compiled term tables, so workers never start cold.
 """
 
 from __future__ import annotations
@@ -172,11 +174,10 @@ def explore(amped: AMPeD, global_batch: int,
         otherwise as the pure-python scalar walk (see
         :func:`repro.search.vectorized.resolve_evaluation_path`).
         ``enforce_memory=True`` keeps the scalar walk, since the memory
-        screen needs per-candidate scenarios.  ``"collapsed"`` and
-        ``"per_layer"`` keep the uncompiled paths.  All paths agree
-        within floating-point associativity (compiled and vectorized
-        bit for bit) and produce identical skip categories and
-        rankings.
+        screen needs per-candidate scenarios.  ``"per_layer"`` keeps
+        the uncompiled reference walk.  All paths agree within
+        floating-point associativity (compiled and vectorized bit for
+        bit) and produce identical skip categories and rankings.
     """
     validate_max_results(max_results)
     if mappings is None:
@@ -195,15 +196,15 @@ def explore(amped: AMPeD, global_batch: int,
     # and vectorized paths) and the pruner's lower bound (every path,
     # so skip counters are path-independent).
     compiled = None
-    if prune or amped.evaluation_path in ("compiled", "vectorized"):
+    if prune or amped.evaluation_path != "per_layer":
         compiled = compile_sweep(amped, global_batch)
     evaluate = partial(_evaluate_spec, amped, global_batch=global_batch,
                        tune_microbatches=tune_microbatches,
                        enforce_memory=enforce_memory)
     pruner = None
     if prune:
-        pruner = _BoundPruner(amped, global_batch, tune_microbatches,
-                              max_results, compiled=compiled)
+        pruner = _BoundPruner(amped, tune_microbatches, max_results,
+                              compiled)
     with span("dse.explore", category="search") as live:
         if (amped.evaluation_path == "vectorized"
                 and not enforce_memory):
@@ -497,7 +498,7 @@ def compute_lower_bound(amped: AMPeD, global_batch: int,
                         tune_microbatches: bool = True) -> float:
     """A compute-only lower bound on the mapping's achievable batch time.
 
-    Evaluates the collapsed layer classes' forward + backward + weight
+    Evaluates the layer classes' forward + backward + weight
     update time at the *best* microbatch efficiency any candidate
     ``N_ub`` can reach (efficiency only derates compute, so the true
     compute time at the tuned ``N_ub`` is at least this), and charges
@@ -548,20 +549,17 @@ class _BoundPruner:
     truncated ranking.  Without a ``keep`` (``max_results is None``)
     the threshold stays infinite and nothing is pruned.
 
-    With a ``compiled`` sweep the bound is
-    :meth:`~repro.search.compiler.CompiledSweep.lower_bound` — compute
-    at the best reachable efficiency *plus* the mapping's exact
-    communication terms, strictly tighter than the legacy compute-only
-    :func:`compute_lower_bound` whenever the mapping communicates at
-    all, and used for every evaluation path so skip counters stay
-    path-independent.
+    The bound is :meth:`~repro.search.compiler.CompiledSweep.lower_bound`
+    over ``compiled`` — compute at the best reachable efficiency *plus*
+    the mapping's exact communication terms, strictly tighter than the
+    compute-only :func:`compute_lower_bound` whenever the mapping
+    communicates at all, and used for every evaluation path so skip
+    counters stay path-independent.
     """
 
-    def __init__(self, template: AMPeD, global_batch: int,
-                 tune_microbatches: bool, keep: Optional[int],
-                 compiled: Optional[CompiledSweep] = None) -> None:
+    def __init__(self, template: AMPeD, tune_microbatches: bool,
+                 keep: Optional[int], compiled: CompiledSweep) -> None:
         self.template = template
-        self.global_batch = global_batch
         self.tune_microbatches = tune_microbatches
         self.keep = keep
         self.compiled = compiled
@@ -587,22 +585,17 @@ class _BoundPruner:
         threshold = self.threshold
         if threshold is None:
             return None
+        template = self.template
         try:
-            if self.compiled is not None:
-                if self.template.validate:
-                    # replace(template, parallelism=spec) re-validates
-                    # on the legacy route; keep the same category for
-                    # mappings that cannot tile the system.
-                    spec.validate_against(self.template.system)
-                    spec.validate_against_model(
-                        self.template.model.n_layers,
-                        self.template.model.n_heads)
-                bound = self.compiled.lower_bound(
-                    spec, self.tune_microbatches)
-            else:
-                candidate = replace(self.template, parallelism=spec)
-                bound = compute_lower_bound(candidate, self.global_batch,
-                                            self.tune_microbatches)
+            if template.validate:
+                # replace(template, parallelism=spec) re-validates on
+                # the generic route; keep the same category for
+                # mappings that cannot tile the system.
+                spec.validate_against(template.system)
+                spec.validate_against_model(template.model.n_layers,
+                                            template.model.n_heads)
+            bound = self.compiled.lower_bound(spec,
+                                              self.tune_microbatches)
         except MappingError:
             return SKIP_MAPPING_INFEASIBLE
         return SKIP_PRUNED if bound > threshold else None

@@ -45,7 +45,6 @@ import random
 import signal
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -81,8 +80,7 @@ from repro.search.dse import (
 )
 from repro.search.vectorized import (
     DEFAULT_CHUNK_CANDIDATES,
-    bind_chunk,
-    evaluate_prebound,
+    evaluate_chunk,
     require_numpy,
     resolve_evaluation_path,
 )
@@ -354,10 +352,6 @@ class _PoolSupervisor:
     path, so no failure can hang the sweep.
     """
 
-    #: Suffix of ``degraded_reason`` naming where evaluation continues
-    #: after permanent degradation (subclasses run a different tail).
-    _degrade_note = "continuing serially"
-
     def __init__(self, workers: int, evaluate: Callable,
                  timeout: Optional[float], retries: int,
                  backoff_s: float,
@@ -479,7 +473,7 @@ class _PoolSupervisor:
             self.degraded_reason = (
                 f"worker pool failed {self.consecutive_failures} "
                 f"consecutive times (last: {error!r}); "
-                f"{self._degrade_note}")
+                "continuing serially")
             get_metrics().gauge("sweep.degraded").set(1.0)
             _LOG.warning("sweep degraded: %s", self.degraded_reason)
             return
@@ -504,88 +498,6 @@ class _PoolSupervisor:
                          "cap_s": cap, "sleep_s": delay}):
             if delay > 0:
                 time.sleep(delay)
-
-
-def _evaluate_shipped(chunk, need_bounds: bool):
-    """Pool-worker entry point: evaluate a shipped pre-bound chunk.
-
-    The worker does no binding work at all — projection and batch fill
-    already happened in the driver's process — and returns plain-list
-    bounds plus outcome dataclasses, both cheap to pickle back.  A
-    shared-memory-shipped chunk detaches its segment mapping before
-    returning (the bounds/outcomes are plain Python values by then), so
-    worker-side mappings never outlive the chunk they served.
-    """
-    try:
-        return evaluate_prebound(chunk, need_bounds)
-    finally:
-        chunk.detach_shared()
-
-
-class _VectorPoolDriver(_PoolSupervisor):
-    """Ships pre-bound chunks to warm pool workers for vectorized sweeps.
-
-    Reuses the scalar supervisor's pool lifecycle and retry/degrade
-    state machine, but splits dispatch into :meth:`submit` /
-    :meth:`resolve` so the driver's process can bind the next chunks
-    while workers evaluate earlier ones.  Every failure falls back to
-    evaluating the already-bound chunk *in process* — degradation costs
-    parallelism, never the array path, and never a result.
-    """
-
-    _degrade_note = "continuing with in-process vectorized evaluation"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Bumped on every pool teardown so the stale futures of a
-        #: collapsed pool count as one supervision event, not one each.
-        self._epoch = 0
-
-    def submit(self, chunk, need_bounds: bool):
-        """Submit a pre-bound chunk; returns an opaque ticket for
-        :meth:`resolve`, or ``None`` when the pool is degraded or the
-        submission itself failed (the chunk then evaluates locally)."""
-        if self.degraded:
-            return None
-        # Publish the chunk's dense arrays into shared memory first so
-        # the pickle below carries a segment name, not the arrays; a
-        # failed publish silently keeps the by-value pickle path.
-        chunk.publish_shared()
-        try:
-            pool = self._ensure_pool()
-            return (self._epoch,
-                    pool.submit(_evaluate_shipped, chunk, need_bounds))
-        except Exception as error:  # noqa: BLE001 — supervised boundary: pool spawn/submit failures trigger retry-or-degrade
-            self._note_failure(error)
-            return None
-
-    def resolve(self, chunk, ticket, need_bounds: bool):
-        """The ``(bounds, outcomes)`` of a submitted chunk.
-
-        A worker failure (timeout, crash, unexpected exception) is
-        recorded against the retry budget once per pool collapse, and
-        the chunk is re-evaluated in process so the sweep's results
-        are identical either way.  Either way the chunk's shared
-        segment (if any) is released here — resolution is the single
-        point where no consumer can still need it.
-        """
-        try:
-            if ticket is not None:
-                epoch, future = ticket
-                try:
-                    bounds, outcomes = future.result(timeout=self.timeout)
-                    self.consecutive_failures = 0
-                    return bounds, outcomes
-                except Exception as error:  # noqa: BLE001 — supervised boundary: worker crash/timeout is recorded and retried
-                    if epoch == self._epoch:
-                        self._epoch += 1
-                        self._note_failure(error)
-            # The driver-side chunk keeps its own arrays (publishing
-            # copies, never moves), so the local fallback is unaffected
-            # by the release in the finally below.
-            return evaluate_prebound(chunk, need_bounds)
-        finally:
-            chunk.release_shared()
 
 
 # ---------------------------------------------------------------------------
@@ -642,18 +554,24 @@ def run_sweep(template: AMPeD, global_batch: int,
 
     Parameters
     ----------
+    workers:
+        Worker processes for the scalar route (``None``/``0``/``1`` =
+        serial).  The vectorized route evaluates every chunk in this
+        process whatever this says, so the pool and the supervision
+        parameters below only matter for sweeps that stay scalar: a
+        custom ``evaluate``, ``enforce_memory=True``, or no NumPy.
     timeout:
         Wall-clock seconds allowed per submitted batch of worker
         results before the batch is considered hung (``None`` = wait
-        forever, the pre-resilience behavior).
+        forever, the pre-resilience behavior).  Must be finite and
+        positive when given.
     retries:
         Consecutive batch failures (timeout, dead worker, unexpected
         exception) tolerated — each retried after a *full-jitter*
         exponential backoff, a uniform draw from
         ``[0, backoff_s * 2**n]`` (``backoff_rng`` injects the
         randomness source for deterministic tests) — before the sweep
-        degrades for the remainder: to serial evaluation on the scalar
-        path, to in-process vectorized evaluation on the array path.
+        degrades to serial evaluation for the remainder.
     journal_path:
         Append-only JSONL journal destination; ``None`` disables
         persistence.
@@ -685,6 +603,7 @@ def run_sweep(template: AMPeD, global_batch: int,
         written under one path resumes deterministically under another.
     """
     validate_max_results(max_results)
+    _validate_supervision(workers, timeout, retries, backoff_s)
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None
@@ -729,10 +648,10 @@ def run_sweep(template: AMPeD, global_batch: int,
     # lower bound on every evaluation path (keeping skip counters
     # path-independent) and are shipped to pool workers.
     compiled: Optional[CompiledSweep] = None
-    if prune or template.evaluation_path in ("compiled", "vectorized"):
+    if prune or template.evaluation_path != "per_layer":
         compiled = compile_sweep(template, global_batch)
-    pruner = (_BoundPruner(template, global_batch, tune_microbatches,
-                           max_results, compiled=compiled)
+    pruner = (_BoundPruner(template, tune_microbatches, max_results,
+                           compiled)
               if prune else None)
 
     # Replay the journal: finished candidates are restored, never
@@ -811,45 +730,28 @@ def run_sweep(template: AMPeD, global_batch: int,
             metrics.histogram("sweep.candidate_seconds").observe(
                 time.perf_counter() - started)
 
-    # The vectorized path evaluates whole chunks as array programs on
-    # this process; it supersedes the worker pool (array gathers beat
-    # pickling candidates across process boundaries by orders of
-    # magnitude).
+    # The vectorized path evaluates whole chunks as array programs in
+    # this process; it never uses the worker pool, which lost to it at
+    # every measured sweep size.
     use_vectorized = (template.evaluation_path == "vectorized"
                       and not custom_evaluate and not enforce_memory)
     use_pool = (workers is not None and workers > 1
                 and not use_vectorized)
-    shipped = (compiled if compiled is not None
-               and compiled.cache_key is not None else None)
-    # Term tables ride to pool workers through shared memory when the
-    # platform supports it: the warm-up initializer then attaches one
-    # segment instead of unpickling every table per worker.  On
-    # platforms without shared_memory/NumPy this is the identity and
-    # the pickle path ships the tables by value, bit-exact either way.
-    if shipped is not None and (use_pool or (use_vectorized
-                                             and workers is not None
-                                             and workers > 1)):
-        shipped = ship_compiled(shipped)
-    supervisor = (_PoolSupervisor(workers, evaluate, timeout, retries,
-                                  backoff_s, template=template,
-                                  global_batch=global_batch,
-                                  compiled=shipped, rng=backoff_rng)
-                  if use_pool else None)
-    # Vectorized sweeps fan out too: chunks are bound (projected +
-    # batch-filled) in this process and shipped to warm workers that
-    # evaluate the arrays without re-binding — the driver keeps a small
-    # prefetch window of in-flight chunks so binding overlaps
-    # evaluation while absorption stays strictly serial-ordered.
-    vector_driver = (_VectorPoolDriver(workers, evaluate, timeout,
-                                       retries, backoff_s,
-                                       template=template,
-                                       global_batch=global_batch,
-                                       compiled=shipped,
-                                       rng=backoff_rng)
-                     if use_vectorized and workers is not None
-                     and workers > 1 else None)
-    inflight: deque = deque()
-    prefetch_pos = 0
+    shipped = None
+    supervisor = None
+    if use_pool:
+        # Term tables ride to pool workers through shared memory when
+        # the platform supports it: the warm-up initializer then
+        # attaches one segment instead of unpickling every table per
+        # worker.  Without shared_memory/NumPy this is the identity and
+        # the pickle path ships the tables by value, bit-exact either
+        # way.
+        if compiled is not None and compiled.cache_key is not None:
+            shipped = ship_compiled(compiled)
+        supervisor = _PoolSupervisor(workers, evaluate, timeout, retries,
+                                     backoff_s, template=template,
+                                     global_batch=global_batch,
+                                     compiled=shipped, rng=backoff_rng)
     if use_vectorized:
         chunk_size = DEFAULT_CHUNK_CANDIDATES
     else:
@@ -868,55 +770,21 @@ def run_sweep(template: AMPeD, global_batch: int,
                 if cancelled():
                     interrupted = True
                     break
+                chunk = pending[position:position + chunk_size]
                 if use_vectorized:
                     chunk_started = time.perf_counter()
-                    need_bounds = pruner is not None
-                    if (vector_driver is not None
-                            and not vector_driver.degraded):
-                        # Top up the prefetch window: bind ahead and
-                        # submit while workers chew on earlier chunks.
-                        while (prefetch_pos < len(pending)
-                               and len(inflight)
-                               <= vector_driver.workers
-                               and not vector_driver.degraded):
-                            ahead = pending[prefetch_pos:
-                                            prefetch_pos + chunk_size]
-                            prebound = bind_chunk(
-                                template, compiled, ahead,
-                                global_batch, tune_microbatches)
-                            ticket = vector_driver.submit(prebound,
-                                                          need_bounds)
-                            inflight.append((ahead, prebound, ticket))
-                            prefetch_pos += len(ahead)
-                    if inflight:
-                        chunk, prebound, ticket = inflight.popleft()
-                    else:
-                        chunk = pending[position:position + chunk_size]
-                        prebound = bind_chunk(template, compiled, chunk,
-                                              global_batch,
-                                              tune_microbatches)
-                        ticket = None
-                        prefetch_pos = position + len(chunk)
                     with span("dse.vectorized_eval", category="search",
                               attrs={"offset": position,
                                      "n_candidates": len(chunk),
-                                     "shipped": ticket is not None,
                                      "tune_microbatches":
                                          tune_microbatches}) as live:
                         position += len(chunk)
-                        if vector_driver is not None:
-                            bounds, outcomes = vector_driver.resolve(
-                                prebound, ticket, need_bounds)
-                            if (vector_driver.degraded
-                                    and not report.degraded):
-                                report.degraded = True
-                                report.degraded_reason = \
-                                    vector_driver.degraded_reason
-                            report.retried = \
-                                vector_driver.total_retries
-                        else:
-                            bounds, outcomes = evaluate_prebound(
-                                prebound, need_bounds)
+                        bounds, outcomes = evaluate_chunk(
+                            template, compiled, chunk, global_batch,
+                            tune_microbatches,
+                            need_bounds=pruner is not None)
+                        if bounds is not None:
+                            bounds = bounds.tolist()
                         fallbacks = 0
                         # Serial-order walk: the pruner threshold is
                         # re-read per candidate because absorb()
@@ -930,7 +798,7 @@ def run_sweep(template: AMPeD, global_batch: int,
                             threshold = (pruner.threshold
                                          if pruner is not None else None)
                             if threshold is not None:
-                                bound = float(bounds[index])
+                                bound = bounds[index]
                                 if math.isnan(bound):
                                     absorb(CandidateOutcome(
                                         spec=spec,
@@ -957,7 +825,6 @@ def run_sweep(template: AMPeD, global_batch: int,
                     if interrupted:
                         break
                     continue
-                chunk = pending[position:position + chunk_size]
                 with span("sweep.chunk", category="search",
                           attrs={"offset": position,
                                  "size": len(chunk)}):
@@ -997,13 +864,8 @@ def run_sweep(template: AMPeD, global_batch: int,
         finally:
             if supervisor is not None:
                 supervisor.shutdown()
-            if vector_driver is not None:
-                vector_driver.shutdown()
-            # Segments published for chunks still in flight at an
-            # interrupt/failure boundary, plus the shared term tables,
-            # unlink here — a cancelled sweep leaks nothing.
-            for _ahead, prebound, _ticket in inflight:
-                prebound.release_shared()
+            # The shared term tables unlink here — a cancelled sweep
+            # leaks nothing.
             release_shipment(shipped)
             if journal is not None:
                 cumulative = _cumulative_counters(
@@ -1031,6 +893,30 @@ def run_sweep(template: AMPeD, global_batch: int,
                 partial_results=results)
     return SweepOutcome(results=results, report=report,
                         cumulative=cumulative)
+
+
+def _validate_supervision(workers: Optional[int],
+                          timeout: Optional[float], retries: int,
+                          backoff_s: float) -> None:
+    """Raise :class:`ConfigurationError` for supervision settings that
+    cannot work: a non-positive or non-finite ``timeout`` would time
+    every pool batch out at once, and negative counts or backoffs have
+    no meaning."""
+    if timeout is not None and not (math.isfinite(timeout)
+                                    and timeout > 0):
+        raise ConfigurationError(
+            f"timeout must be a finite number of seconds > 0, "
+            f"got {timeout!r}")
+    if retries < 0:
+        raise ConfigurationError(
+            f"retries must be >= 0, got {retries!r}")
+    if not (math.isfinite(backoff_s) and backoff_s >= 0):
+        raise ConfigurationError(
+            f"backoff_s must be a finite number of seconds >= 0, "
+            f"got {backoff_s!r}")
+    if workers is not None and workers < 0:
+        raise ConfigurationError(
+            f"workers must be >= 0, got {workers!r}")
 
 
 def _cumulative_counters(prior: Optional[dict], report: SweepReport,

@@ -2,11 +2,8 @@
 
 Parallel sweeps and the pre-fork serve daemon both need the same data
 in many processes at once: the dense ``float64`` term tables of a
-:class:`~repro.search.compiler.CompiledSweep` and the bound arrays of a
-:class:`~repro.search.vectorized.BoundBatch`.  Before this module they
-travelled by pickle — once per worker for the compiled tables (the pool
-initializer) and once per chunk for the bound arrays — an O(tables)
-copy through a pipe for every receiving process.
+:class:`~repro.search.compiler.CompiledSweep`.  Pickling them costs an
+O(tables) copy through a pipe for every receiving process.
 
 This module publishes them instead into POSIX shared memory
 (:mod:`multiprocessing.shared_memory`), once per sweep:
@@ -36,9 +33,9 @@ This module publishes them instead into POSIX shared memory
   the AMP203 concurrency contract.
 - **Transparent fallback.**  Without NumPy or a usable
   ``multiprocessing.shared_memory`` (``HAVE_SHM`` is False),
-  :func:`ship_compiled` returns the compiled sweep unchanged and
-  :func:`share_ndarray_state` declines, so every caller falls back to
-  today's pickle path with identical (bit-exact) results.
+  :func:`ship_compiled` returns the compiled sweep unchanged, so every
+  caller falls back to the pickle path with identical (bit-exact)
+  results.
 
 Segment names are generation-tagged and keyed on the sweep identity:
 ``amped-{pid:x}-{generation}-{digest}`` where ``digest`` hashes
@@ -410,71 +407,6 @@ def publish_segment(tag: str,
         _SHM_STATS["published"] += 1
         _SHM_STATS["bytes_published"] += shm.size
     return SegmentHandle(shm.name, shm.size)
-
-
-# ---------------------------------------------------------------------------
-# Generic ndarray state sharing (BoundBatch / PreboundChunk transport)
-# ---------------------------------------------------------------------------
-
-#: Keys injected into shared object state to describe the array layout.
-_LAYOUT_KEY = "__shm_layout__"
-
-
-def share_ndarray_state(state: Dict[str, object], tag: str
-                        ) -> Optional[Tuple[SegmentHandle,
-                                            Dict[str, object]]]:
-    """Split an object's ``__dict__`` into a shared segment + lean state.
-
-    Top-level ``ndarray`` values and lists of ``ndarray`` values move
-    into one published segment; everything else stays in the returned
-    lean state, which carries the layout needed by
-    :func:`restore_ndarray_state`.  Returns ``None`` when shared memory
-    is unavailable or there is nothing to share — callers then pickle
-    the original state unchanged.
-    """
-    if not HAVE_SHM:
-        return None
-    np = _np
-    arrays: Dict[str, object] = {}
-    scalars: List[str] = []
-    lists: Dict[str, int] = {}
-    lean = dict(state)
-    for key, value in state.items():
-        if isinstance(value, np.ndarray):
-            arrays[f"a:{key}"] = value
-            scalars.append(key)
-            del lean[key]
-        elif (isinstance(value, list) and value
-                and all(isinstance(item, np.ndarray) for item in value)):
-            for index, item in enumerate(value):
-                arrays[f"l:{key}:{index}"] = item
-            lists[key] = len(value)
-            del lean[key]
-    if not arrays:
-        return None
-    handle = publish_segment(tag, arrays=arrays)
-    lean[_LAYOUT_KEY] = {"arrays": scalars, "lists": lists}
-    return handle, lean
-
-
-def restore_ndarray_state(lean: Dict[str, object],
-                          attachment: Attachment) -> Dict[str, object]:
-    """Rebuild the full state from lean state + a mapped attachment.
-
-    The returned dict holds zero-copy views over the shared pages; it
-    also carries the attachment under ``_shm_attachment`` so assigning
-    it to an object's ``__dict__`` pins the mapping's lifetime to the
-    object.
-    """
-    layout = lean.pop(_LAYOUT_KEY)
-    state = dict(lean)
-    for key in layout["arrays"]:
-        state[key] = attachment.arrays[f"a:{key}"]
-    for key, count in layout["lists"].items():
-        state[key] = [attachment.arrays[f"l:{key}:{index}"]
-                      for index in range(count)]
-    state["_shm_attachment"] = attachment
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,13 @@ NumPy is an **optional** dependency.  With it installed,
 :func:`resolve_evaluation_path` routes every default ``"compiled"``
 sweep, whatever its size, to this backend: the array program is faster
 than the scalar walk even on sweeps of a few dozen candidates, and
-both read the same term tables.  Without NumPy, sweeps run on the
-pure-python ``"compiled"`` path, and an explicit
-``evaluation_path="vectorized"`` raises a
-:class:`~repro.errors.ConfigurationError` (CLI exit code 2).  See
+both read the same term tables.  ``explore`` and ``run_sweep`` run it
+in their own process, chunk by chunk through :func:`evaluate_chunk`,
+whatever their ``workers`` setting: shipping bound chunks to a process
+pool lost to in-process evaluation at every measured sweep size.
+Without NumPy, sweeps run on the pure-python ``"compiled"`` path, and
+an explicit API request for ``evaluation_path="vectorized"`` raises a
+:class:`~repro.errors.ConfigurationError`.  See
 ``docs/performance.md`` for the key-index layout and the full
 bit-exactness argument.
 """
@@ -55,7 +58,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, MappingError
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search import shm as _shm
 from repro.search.compiler import COMPONENT_NAMES, CompiledSweep, compile_sweep
 from repro.search.tuning import candidate_microbatch_counts
 
@@ -417,15 +419,6 @@ class BoundBatch:
                              if isinstance(item, _np.ndarray))
         return total
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lane_components_cache"] = None
-        state["_lane_times_cache"] = None
-        # An attached batch (rebuilt from a shared-memory segment) never
-        # re-pickles its mapping — receivers attach by name instead.
-        state.pop("_shm_attachment", None)
-        return state
-
     # -- the column-wise combiner ---------------------------------------------
 
     def _components(self, rows, eff_idx, bub_idx) -> tuple:
@@ -666,159 +659,27 @@ def vectorize_sweep(template: "AMPeD",
 # ---------------------------------------------------------------------------
 
 
-class PreboundChunk:
-    """One candidate chunk validated and bound, ready to evaluate.
+def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
+                   specs: Sequence[ParallelismSpec], global_batch: int,
+                   tune_microbatches: bool, need_bounds: bool = False
+                   ) -> Tuple[Optional[object],
+                              List[Optional["CandidateOutcome"]]]:
+    """Vector-evaluate one candidate chunk into sweep outcomes.
 
-    Produced by :func:`bind_chunk` in the sweep driver's process and
-    consumed by :func:`evaluate_prebound` — either immediately in the
-    same process, or pickled to a warm pool worker so the worker skips
-    the projection + batch-fill work entirely (the PR 6 follow-up:
-    vectorized *parallel* sweeps used to re-bind per worker).
-
-    Pickling strips the compiled sweep from the bound batch whenever
-    the receiving process can reattach it from its own compile cache
-    (:func:`~repro.search.compiler.warm_worker` installs it there), so
-    each shipped chunk carries only its dense arrays, not another copy
-    of the term tables.  When the driver calls :meth:`publish_shared`
-    first, even the dense arrays stay out of the pickle: they live in a
-    shared-memory segment and the pickle carries only the segment name
-    plus scalar metadata, so worker-side unpickling is an O(1) map
-    instead of an O(arrays) copy.
+    Validates, projects and batch-fills ``specs``, then evaluates them
+    as one array program.  Returns ``(bounds, outcomes)``: ``bounds`` is
+    the batched pruner bound per candidate as a NumPy array (NaN =
+    provably infeasible; ``None`` when not requested), and ``outcomes``
+    holds one :class:`~repro.search.dse.CandidateOutcome` per
+    candidate, with ``None`` marking candidates the array path cannot
+    decide exactly — invalid mappings, all-lanes-infeasible candidates,
+    non-finite results — which the caller re-evaluates through the
+    scalar route (it reproduces the exact error categories and detail
+    strings).
     """
-
-    def __init__(self, specs: List[ParallelismSpec], valid: List[int],
-                 batch: Optional[BoundBatch], global_batch: int,
-                 tune_microbatches: bool) -> None:
-        self.specs = specs
-        self.valid = valid
-        self.batch = batch
-        self.global_batch = global_batch
-        self.tune_microbatches = tune_microbatches
-        self._shm_handle: Optional[_shm.SegmentHandle] = None
-        self._shm_state: Optional[dict] = None
-
-    # -- shared-memory transport (driver side) --------------------------------
-
-    def publish_shared(self) -> bool:
-        """Publish the bound batch's dense arrays into shared memory.
-
-        Idempotent; returns ``True`` when a segment is live after the
-        call.  ``False`` means there is nothing to share (no valid
-        candidates) or the platform lacks ``shared_memory``/NumPy — the
-        pickle path then ships the arrays by value, bit-exact either
-        way.  Publish failures degrade the same way rather than fail
-        the sweep.
-        """
-        if self._shm_handle is not None:
-            return True
-        if self.batch is None or not _shm.HAVE_SHM:
-            return False
-        try:
-            shared = _shm.share_ndarray_state(self.batch.__getstate__(),
-                                              "chunk")
-        except Exception:  # noqa: BLE001 — fallback boundary: /dev/shm
-            # exhaustion (ENOSPC) must degrade to the pickle path, not
-            # abort a sweep that would succeed without sharing.
-            return False
-        if shared is None:
-            return False
-        self._shm_handle, self._shm_state = shared
-        return True
-
-    def release_shared(self) -> None:
-        """Drop the driver's reference on the published segment.
-
-        Idempotent.  The segment unlinks immediately (POSIX keeps the
-        memory mapped for any worker still attached); call this only
-        once every consumer has finished unpickling — in practice,
-        after the worker's future resolves.
-        """
-        handle = self._shm_handle
-        self._shm_handle = None
-        self._shm_state = None
-        if handle is not None:
-            _shm.release_segment(handle.name)
-
-    # -- shared-memory transport (worker side) --------------------------------
-
-    def detach_shared(self) -> None:
-        """Close the worker-side mapping once evaluation is done.
-
-        The attached batch's arrays are views over the mapping, so the
-        batch is dismantled first (no view may outlive the ``mmap``),
-        then the segment closes.  No-op for pickle-shipped chunks.
-        """
-        batch = self.batch
-        if batch is None:
-            return
-        attachment = batch.__dict__.pop("_shm_attachment", None)
-        if attachment is not None:
-            batch.__dict__.clear()
-            self.batch = None
-            attachment.close()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_compiled_key"] = None
-        if len(self.valid) == len(self.specs):
-            # bind_chunk builds ``valid`` as a sorted subset of
-            # range(n), so equal length means the identity mapping —
-            # shipped as one int (a million-candidate chunk otherwise
-            # pays ~0.3 s re-allocating the index list per worker).
-            state["valid"] = len(self.specs)
-        batch = self.batch
-        if batch is None:
-            return state
-        cache_key = batch.compiled.cache_key
-        if self._shm_handle is not None and self._shm_state is not None:
-            # Zero-copy route: ship the segment name + scalar metadata.
-            lean = dict(self._shm_state)
-            if cache_key is not None:
-                lean["compiled"] = None
-                state["_compiled_key"] = cache_key
-            state["batch"] = None
-            state["_shm_state"] = lean
-            return state
-        if cache_key is not None:
-            lean_batch = object.__new__(BoundBatch)
-            lean_batch.__dict__.update(batch.__getstate__())
-            lean_batch.compiled = None
-            state["batch"] = lean_batch
-            state["_compiled_key"] = cache_key
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        key = state.pop("_compiled_key", None)
-        handle = state.pop("_shm_handle", None)
-        lean = state.pop("_shm_state", None)
-        if isinstance(state.get("valid"), int):
-            state["valid"] = list(range(state["valid"]))
-        self.__dict__.update(state)
-        self._shm_handle = None  # receivers never own the segment
-        self._shm_state = None
-        if handle is not None and lean is not None and self.batch is None:
-            attachment = handle.attach()
-            batch = object.__new__(BoundBatch)
-            batch.__dict__.update(_shm.restore_ndarray_state(lean,
-                                                             attachment))
-            self.batch = batch
-        if (key is not None and self.batch is not None
-                and self.batch.compiled is None):
-            from repro.search.compiler import cached_compiled
-            self.batch.compiled = cached_compiled(key)
-
-
-def bind_chunk(template: "AMPeD", compiled: CompiledSweep,
-               specs: Sequence[ParallelismSpec], global_batch: int,
-               tune_microbatches: bool) -> PreboundChunk:
-    """Validate + project + batch-fill one candidate chunk.
-
-    Candidates failing mapping validation are left out of the bound
-    batch (their lanes fall back to the scalar route, which reproduces
-    the exact error categories and detail strings); a chunk with no
-    valid candidate carries ``batch=None``.
-    """
+    from repro.core.breakdown import TrainingTimeBreakdown
     from repro.errors import ReproError
+    from repro.search.dse import CandidateOutcome, ExplorationResult
 
     n = len(specs)
     valid = list(range(n))
@@ -832,53 +693,17 @@ def bind_chunk(template: "AMPeD", compiled: CompiledSweep,
             except ReproError:
                 continue  # scalar fallback raises/categorizes exactly
             valid.append(index)
-    batch = (BoundBatch(compiled, [specs[i] for i in valid],
-                        tune_microbatches)
-             if valid else None)
-    return PreboundChunk(list(specs), valid, batch, int(global_batch),
-                         tune_microbatches)
-
-
-def evaluate_prebound(chunk: PreboundChunk, need_bounds: bool = False
-                      ) -> Tuple[Optional[List[float]],
-                                 List[Optional["CandidateOutcome"]]]:
-    """Evaluate a :class:`PreboundChunk` into sweep outcomes.
-
-    Returns ``(bounds, outcomes)``: ``bounds`` is the batched pruner
-    bound per candidate as a plain float list (NaN = provably
-    infeasible; ``None`` when not requested — a list rather than an
-    array so pool workers return cheap pickles), and ``outcomes`` holds
-    one :class:`~repro.search.dse.CandidateOutcome` per candidate, with
-    ``None`` marking candidates the array path cannot decide exactly —
-    invalid mappings, all-lanes-infeasible candidates, non-finite
-    results — which the caller re-evaluates through the scalar route.
-    """
-    from repro.search.dse import CandidateOutcome, ExplorationResult
-    from repro.core.breakdown import TrainingTimeBreakdown
-    from repro.errors import WorkerError
-
-    specs = chunk.specs
-    n = len(specs)
     outcomes: List[Optional[CandidateOutcome]] = [None] * n
-    bounds = [math.nan] * n if need_bounds else None
-    batch = chunk.batch
-    if batch is None:
+    bounds = _np.full(n, math.nan) if need_bounds else None
+    if not valid:
         return bounds, outcomes
-    compiled = batch.compiled
-    if compiled is None:
-        raise WorkerError(
-            "prebound chunk arrived without its compiled sweep (the "
-            "worker's compile cache does not hold the shipped key)")
-    valid = chunk.valid
-    global_batch = chunk.global_batch
-    tune_microbatches = chunk.tune_microbatches
+    batch = BoundBatch(compiled, [specs[i] for i in valid],
+                       tune_microbatches)
 
     if bounds is not None:
-        for index, value in zip(valid, batch.lower_bounds().tolist()):
-            bounds[index] = value
+        bounds[valid] = batch.lower_bounds()
     best, picks, feasible = batch.best_lanes()
-    components = batch.lane_components()
-    columns = [column.tolist() for column in components]
+    columns = [column.tolist() for column in batch.lane_components()]
     picks_list = picks.tolist()
     feasible_list = feasible.tolist()
     nubs = batch._lane_nub.tolist()
@@ -902,24 +727,4 @@ def evaluate_prebound(chunk: PreboundChunk, need_bounds: bool = False
             microbatch_size=microbatch,
             microbatch_efficiency=compiled.efficiency(microbatch),
         ))
-    return bounds, outcomes
-
-
-def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
-                   specs: Sequence[ParallelismSpec], global_batch: int,
-                   tune_microbatches: bool, need_bounds: bool = False
-                   ) -> Tuple[Optional[object],
-                              List[Optional["CandidateOutcome"]]]:
-    """Vector-evaluate one candidate chunk into sweep outcomes.
-
-    :func:`bind_chunk` + :func:`evaluate_prebound` in one call, for
-    callers that bind and evaluate in the same process.  ``bounds``
-    comes back as a NumPy array (NaN = provably infeasible; ``None``
-    when not requested).
-    """
-    chunk = bind_chunk(template, compiled, specs, global_batch,
-                       tune_microbatches)
-    bounds, outcomes = evaluate_prebound(chunk, need_bounds)
-    if bounds is not None:
-        bounds = _np.asarray(bounds)
     return bounds, outcomes

@@ -4,7 +4,7 @@
 estimator over HTTP/JSON with the robustness machinery a long-lived
 process needs: strict request validation, a bounded admission queue,
 per-request deadlines, a circuit breaker that degrades evaluation
-quality (``vectorized → compiled → collapsed → serial``) instead of
+quality (``vectorized → compiled → serial``) instead of
 failing, and a graceful SIGTERM drain.  The process-wide
 compiled-sweep cache stays warm across requests, so repeat estimates
 skip the table builds entirely.

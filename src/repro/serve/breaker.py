@@ -4,7 +4,7 @@ Two cooperating pieces of failure containment:
 
 - :class:`DegradationLadder` mirrors ``run_sweep``'s permanent-
   degradation policy at the request boundary: evaluation quality steps
-  down ``vectorized → compiled → collapsed → serial`` one rung per
+  down ``vectorized → compiled → serial`` one rung per
   breaker trip, trading throughput for simpler machinery, and steps
   back up (never above its starting rung) after sustained recovery.
 - :class:`CircuitBreaker` is the classic three-state machine
@@ -33,13 +33,13 @@ from repro.search.vectorized import HAVE_NUMPY
 #: The degradation ladder, best rung first.  Each rung names the
 #: coarse serving mode; :data:`RUNG_EVALUATION_PATHS` maps it to the
 #: estimator's ``evaluation_path`` vocabulary (the "serial" rung is
-#: the per-layer reference walk — slowest, least machinery).
-LADDER_RUNGS = ("vectorized", "compiled", "collapsed", "serial")
+#: the per-layer reference walk — slowest, and the only rung that
+#: shares no code with the term tables).
+LADDER_RUNGS = ("vectorized", "compiled", "serial")
 
 RUNG_EVALUATION_PATHS = {
     "vectorized": "vectorized",
     "compiled": "compiled",
-    "collapsed": "collapsed",
     "serial": "per_layer",
 }
 

@@ -22,7 +22,7 @@ request arrived" and "a status + JSON payload is ready":
 - **graceful degradation** — evaluation failures feed the
   :class:`~repro.serve.breaker.CircuitBreaker`, which steps the
   :class:`~repro.serve.breaker.DegradationLadder` down
-  ``vectorized → compiled → collapsed → serial`` and probes its way
+  ``vectorized → compiled → serial`` and probes its way
   back up.
 - **drain** — :meth:`reject_new` flips the service into draining mode
   (new submissions get a structured 503) while queued and in-flight

@@ -47,7 +47,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import collect_cache_metrics, get_metrics
 from repro.search import shm

@@ -34,6 +34,17 @@ class TestConstruction:
         assert amped.parallelism.tp_intra == 4
         assert amped.parallelism.microbatches == 4
 
+    def test_defaults_to_compiled_path(self, tiny_amped):
+        assert tiny_amped.evaluation_path == "compiled"
+
+    def test_rejects_removed_collapsed_path(self, tiny_model,
+                                            small_system):
+        with pytest.raises(ConfigurationError,
+                           match="evaluation_path must be one of"):
+            AMPeD(model=tiny_model, system=small_system,
+                  parallelism=ParallelismSpec(tp_intra=4, dp_inter=4),
+                  evaluation_path="collapsed")
+
     def test_rejects_negative_multipliers(self, tiny_model,
                                           small_system):
         with pytest.raises(ConfigurationError):

@@ -20,9 +20,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
-    def test_sweep_eval_mode_defaults_to_compiled(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.eval_mode == "compiled"
+    def test_sweep_eval_mode_defaults_to_compiled(self, monkeypatch,
+                                                  capsys):
+        # The sweep command has no evaluation-path option: it leaves
+        # run_sweep on its "compiled" default.
+        from repro.search import resilience
+
+        calls = []
+        real_run_sweep = resilience.run_sweep
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real_run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "run_sweep", spy)
+        assert not hasattr(build_parser().parse_args(["sweep"]),
+                           "eval_mode")
+        assert main(["sweep", "--nodes", "2", "--model", "mingpt-85m",
+                     "--batch", "256", "--top", "3"]) == 0
+        assert len(calls) == 1
+        assert "evaluation_path" not in calls[0]
 
 
 class TestCommands:
@@ -56,24 +73,34 @@ class TestCommands:
         assert "mapping" in out
         assert "batch time" in out
 
-    @pytest.mark.parametrize("mode",
-                             ["per_layer", "collapsed", "compiled"])
-    def test_sweep_accepts_every_eval_mode(self, mode, capsys):
-        exit_code = main(["sweep", "--nodes", "2",
-                          "--model", "mingpt-85m", "--batch", "256",
-                          "--top", "3", "--eval-mode", mode])
-        assert exit_code == 0
-        assert "batch time" in capsys.readouterr().out
-
     def test_sweep_rejects_unknown_eval_mode(self, capsys):
+        # --eval-mode is gone; argparse rejects it like any unknown flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--nodes", "2", "--model", "mingpt-85m",
+                  "--batch", "256", "--eval-mode", "compiled"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --eval-mode" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "-2"], "workers must be >= 0, got -2"),
+        (["--timeout", "-5"], "timeout must be a finite number of "
+                              "seconds > 0, got -5.0"),
+        (["--timeout", "nan"], "timeout must be a finite number of "
+                               "seconds > 0, got nan"),
+        (["--timeout", "0"], "timeout must be a finite number of "
+                             "seconds > 0, got 0.0"),
+        (["--retries", "-1"], "retries must be >= 0, got -1"),
+    ])
+    def test_sweep_rejects_invalid_supervision(self, flags, message,
+                                               capsys):
         exit_code = main(["sweep", "--nodes", "2",
                           "--model", "mingpt-85m", "--batch", "256",
-                          "--eval-mode", "bogus"])
+                          "--top", "3"] + flags)
         assert exit_code == 2
         captured = capsys.readouterr()
-        assert "evaluation_path must be one of" \
-            in captured.out + captured.err
-        assert "'bogus'" in captured.out + captured.err
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == ""
 
     def test_sweep_rejects_top_zero(self, capsys):
         exit_code = main(["sweep", "--nodes", "2",

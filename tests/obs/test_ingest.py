@@ -55,7 +55,7 @@ class TestChromeTraceRoundTrip:
         (observation,) = load_chrome_trace(path).observations()
         assert observation.model == tiny_amped.model.name
         assert observation.global_batch == 64
-        assert observation.evaluation_path == "collapsed"
+        assert observation.evaluation_path == "compiled"
         assert observation.source.endswith("#0")
 
     def test_mapping_reconstructed_from_degree_attrs(

@@ -1,5 +1,7 @@
 """Unit tests for the metrics registry and the cache-stats fold."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.communication import comm_cache_stats
@@ -157,12 +159,18 @@ class TestCacheMetricsRoundTrip:
     def test_gauges_move_with_cache_activity(self, tiny_amped):
         before = collect_cache_metrics(
             MetricsRegistry()).snapshot()["gauges"]
-        # A known call sequence: the same evaluation twice — the second
-        # pass must hit the memoized collective-time cache.
+        # A known call sequence: the same evaluation twice.  On the
+        # default path the second pass reuses the compiled term tables;
+        # on the per-layer path it hits the collective-time memo.
         tiny_amped.estimate_batch(64)
         tiny_amped.estimate_batch(64)
+        per_layer = replace(tiny_amped, evaluation_path="per_layer")
+        per_layer.estimate_batch(64)
+        per_layer.estimate_batch(64)
         after = collect_cache_metrics(
             MetricsRegistry()).snapshot()["gauges"]
+        assert (after["cache.compiled.hits"]
+                > before["cache.compiled.hits"])
         assert (after["cache.collectives.hits"]
                 > before["cache.collectives.hits"])
 

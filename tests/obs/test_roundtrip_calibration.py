@@ -13,8 +13,6 @@ model shows ~zero drift against the same observations.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.model import AMPeD
@@ -52,8 +50,7 @@ def loop(tmp_path_factory):
     system = megatron_a100_cluster()
     base = AMPeD.for_mapping(
         MEGATRON_530B, system, tp=8, pp=8, dp=16,
-        efficiency=MicrobatchEfficiency(a=1.0, b=16.0, floor=0.05),
-        evaluation_path="collapsed")
+        efficiency=MicrobatchEfficiency(a=1.0, b=16.0, floor=0.05))
 
     measured = TRUTH.apply(base)
     tracer = get_tracer()
@@ -63,8 +60,7 @@ def loop(tmp_path_factory):
         scenario = AMPeD.for_mapping(
             MEGATRON_530B, measured.system, tp=tp, pp=pp, dp=dp,
             n_microbatches=n_microbatches,
-            efficiency=measured.efficiency,
-            evaluation_path="collapsed")
+            efficiency=measured.efficiency)
         breakdowns.append(scenario.estimate_batch(global_batch))
     records = tracer.records()
     tracer.disable()

@@ -1,12 +1,14 @@
-"""Fast-path equivalence property: collapsed == per-layer across the zoo.
+"""Default-path equivalence property: an unconfigured ``AMPeD`` ==
+per-layer across the zoo.
 
-The collapsed evaluation path replaces the per-layer sum of Eq. 1 with
-one evaluation per layer equivalence class times its multiplicity.
-Because Eq. 1 is linear in the per-layer terms this is exact up to
-float associativity; here we pin that guarantee across every zoo model
+``AMPeD`` built without an ``evaluation_path`` replaces the per-layer
+sum of Eq. 1 with one evaluation per layer equivalence class times its
+multiplicity (the compiled term tables).  Because Eq. 1 is linear in
+the per-layer terms this is exact up to float associativity; here we
+pin that guarantee for the default constructor across every zoo model
 (minGPT 85M through GLaM 1.2T), with and without the embedding
 pseudo-layer, and with and without explicit ZeRO-3 gather traffic, on
-every component of the breakdown.
+every component of the breakdown and on the full-run estimate.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ def test_collapsed_matches_per_layer(model_key, zero, zero_explicit,
     amped = AMPeD(model=MODELS[model_key], system=system,
                   parallelism=spec, zero=zero,
                   zero_explicit_comm=zero_explicit,
-                  include_embeddings=include_embeddings,
-                  evaluation_path="collapsed", validate=False)
+                  include_embeddings=include_embeddings, validate=False)
+    reference_amped = replace(amped, evaluation_path="per_layer")
     fast = amped.estimate_batch(GLOBAL_BATCH).as_dict()
-    reference = replace(amped, evaluation_path="per_layer") \
-        .estimate_batch(GLOBAL_BATCH).as_dict()
+    reference = reference_amped.estimate_batch(GLOBAL_BATCH).as_dict()
 
     assert fast.keys() == reference.keys()
     for component, reference_value in reference.items():
@@ -63,5 +64,10 @@ def test_collapsed_matches_per_layer(model_key, zero, zero_explicit,
         scale = max(abs(reference_value), 1e-300)
         assert abs(fast_value - reference_value) / scale \
             <= RELATIVE_TOLERANCE, (
-                f"{model_key}/{component}: collapsed {fast_value!r} vs "
+                f"{model_key}/{component}: default {fast_value!r} vs "
                 f"per-layer {reference_value!r}")
+    days = amped.estimate(GLOBAL_BATCH, n_batches=1000).total_time_days
+    reference_days = reference_amped.estimate(
+        GLOBAL_BATCH, n_batches=1000).total_time_days
+    assert abs(days - reference_days) / reference_days \
+        <= RELATIVE_TOLERANCE

@@ -2,8 +2,9 @@
 
 The zoo-wide equivalence lives in
 ``tests/properties/test_compiled_properties.py``; here we pin the
-compiler's own contracts: bit-exact agreement with the collapsed path,
-microbatch-tuning parity, the admissible (and strictly tighter)
+compiler's own contracts: shared tables answer every candidate bit for
+bit as a table set filled for that candidate alone (the per-candidate
+layer-class sum), microbatch-tuning parity, the admissible (and strictly tighter)
 compute + communication lower bound, the process-wide table cache, and
 the pool warm-up path.
 """
@@ -64,33 +65,34 @@ def fresh_cache():
 class TestBitExactness:
     def test_batch_time_bit_identical_to_collapsed(self, template,
                                                    system):
+        # One table set shared by the whole sweep against a fresh one
+        # per candidate, which computes that candidate's layer-class
+        # (collapsed) sum straight from the reference functions: a key
+        # that merged two candidates with different terms would show.
         compiled = CompiledSweep(template, GLOBAL_BATCH)
-        collapsed = replace(template, evaluation_path="collapsed")
         for spec in enumerate_mappings(system, template.model):
-            candidate = replace(collapsed, parallelism=spec)
+            fresh = CompiledSweep(template, GLOBAL_BATCH)
             try:
-                expected = candidate.estimate_batch(GLOBAL_BATCH).total
-            except MappingError as error:
+                expected = fresh.batch_time(spec)
+            except MappingError:
                 with pytest.raises(MappingError, match="microbatch"):
                     compiled.batch_time(spec)
-                del error
                 continue
             assert compiled.batch_time(spec) == expected, spec.describe()
 
     def test_breakdown_components_bit_identical(self, template):
         spec = ParallelismSpec(tp_intra=4, pp_inter=2, dp_inter=2)
         compiled = CompiledSweep(template, GLOBAL_BATCH)
-        collapsed = replace(template, evaluation_path="collapsed",
-                            parallelism=spec)
+        default = replace(template, parallelism=spec)
         assert compiled.breakdown(spec).as_dict() \
-            == collapsed.estimate_batch(GLOBAL_BATCH).as_dict()
+            == default.estimate_batch(GLOBAL_BATCH).as_dict()
 
     def test_infeasible_microbatch_raises_identical_message(
             self, template):
         spec = ParallelismSpec(dp_intra=4, dp_inter=4,
                                n_microbatches=GLOBAL_BATCH)
         compiled = CompiledSweep(template, GLOBAL_BATCH)
-        reference = replace(template, evaluation_path="collapsed",
+        reference = replace(template, evaluation_path="per_layer",
                             parallelism=spec)
         with pytest.raises(MappingError) as reference_error:
             reference.estimate_batch(GLOBAL_BATCH)
@@ -109,8 +111,7 @@ class TestBestMicrobatch:
     def test_matches_optimize_microbatches(self, template, system):
         compiled = CompiledSweep(template, GLOBAL_BATCH)
         for spec in enumerate_mappings(system, template.model):
-            reference = replace(template, evaluation_path="collapsed",
-                                parallelism=spec)
+            reference = replace(template, parallelism=spec)
             try:
                 tuned_amped, expected = optimize_microbatches(
                     reference, GLOBAL_BATCH)
@@ -220,7 +221,7 @@ class TestProcessCache:
 
     def test_evaluation_path_not_part_of_identity(self, template):
         first = compile_sweep(
-            replace(template, evaluation_path="collapsed"), GLOBAL_BATCH)
+            replace(template, evaluation_path="per_layer"), GLOBAL_BATCH)
         second = compile_sweep(
             replace(template, evaluation_path="compiled"), GLOBAL_BATCH)
         assert first is second

@@ -306,6 +306,29 @@ class TestResume:
             assert abs(ours.batch_time_s - reference.batch_time_s) \
                 / scale <= 1e-9
 
+    def test_resume_journal_from_a_removed_path(self, template,
+                                                tmp_path):
+        """Journals written while ``"collapsed"`` was an evaluation path
+        still resume: the path is provenance, not identity."""
+        journal = tmp_path / "sweep.jsonl"
+        uninterrupted = run_sweep(template, 64, max_results=5,
+                                  journal_path=journal)
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["evaluation_path"] = "collapsed"
+        candidates = [line for line in lines[1:]
+                      if json.loads(line)["kind"] == "candidate"]
+        kept = candidates[:-3]
+        journal.write_text("\n".join([json.dumps(header)] + kept) + "\n")
+
+        resumed = run_sweep(template, 64, max_results=5,
+                            journal_path=journal, resume=True)
+        assert not resumed.partial
+        assert resumed.report.resumed == sum(
+            json.loads(line)["status"] == "evaluated" for line in kept)
+        assert [(r.label, r.batch_time_s) for r in resumed.results] \
+            == [(r.label, r.batch_time_s) for r in uninterrupted.results]
+
     def test_journal_records_every_fate(self, template, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         outcome = run_sweep(template, 64, max_results=3,
@@ -500,15 +523,6 @@ class TestCliFlags:
 # --------------------------------------------------------------------------
 
 
-def _prebound_raise_in_worker(chunk, need_bounds=False):
-    """Crash inside pool workers; delegate to the real evaluator in the
-    parent (i.e. the local fallback and post-degradation paths)."""
-    if os.getpid() != _MAIN_PID:
-        raise RuntimeError("injected vectorized worker crash")
-    from repro.search import vectorized
-    return vectorized.evaluate_prebound(chunk, need_bounds)
-
-
 class TestRetryJitter:
     def test_backoff_is_uniform_draw_under_the_cap(self, monkeypatch):
         import random as random_mod
@@ -576,7 +590,7 @@ class TestRetryJitter:
 
 
 # --------------------------------------------------------------------------
-# Vectorized parallel sweeps: pre-bound chunks shipped to warm workers
+# Vectorized sweeps run in process, whatever ``workers`` says
 # --------------------------------------------------------------------------
 
 
@@ -596,23 +610,57 @@ class TestVectorizedPool:
         assert not pooled.report.degraded
         assert pooled.report.retried == 0
 
-    def test_worker_crash_degrades_to_local_vectorized(
-            self, template, monkeypatch):
+    def test_vectorized_route_never_builds_a_pool(self, template,
+                                                  monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.setattr(
-            "repro.search.resilience.DEFAULT_CHUNK_CANDIDATES", 4)
-        serial = run_sweep(template, 64, max_results=5,
-                           evaluation_path="vectorized")
-        monkeypatch.setattr("repro.search.resilience.evaluate_prebound",
-                            _prebound_raise_in_worker)
-        pooled = run_sweep(template, 64, max_results=5, workers=2,
-                           retries=1, backoff_s=0.0,
-                           evaluation_path="vectorized")
-        # Every chunk fell back to the driver's process, so the ranking
-        # and coverage are identical; the report records the collapse.
-        assert [(r.label, r.batch_time_s) for r in pooled.results] \
-            == [(r.label, r.batch_time_s) for r in serial.results]
+        import concurrent.futures
+
+        serial = run_sweep(template, 64, max_results=5)
+        attempts = []
+
+        def no_pool(*args, **kwargs):
+            attempts.append(kwargs)
+            raise AssertionError("the vectorized route built a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        pooled = run_sweep(template, 64, max_results=5, workers=2)
+        assert attempts == []
+        assert [(r.label, r.batch_time_s, r.breakdown.as_dict())
+                for r in pooled.results] \
+            == [(r.label, r.batch_time_s, r.breakdown.as_dict())
+                for r in serial.results]
         assert pooled.report.evaluated == serial.report.evaluated
-        assert pooled.report.degraded
-        assert "vectorized" in pooled.report.degraded_reason
-        assert pooled.report.retried == 1
+        assert pooled.report.skipped == serial.report.skipped
+        assert not pooled.report.degraded
+        assert pooled.report.retried == 0
+
+
+# --------------------------------------------------------------------------
+# Supervision settings are validated before any work starts
+# --------------------------------------------------------------------------
+
+
+class TestSupervisionValidation:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"timeout": -5.0}, "timeout must be a finite number"),
+        ({"timeout": float("nan")}, "timeout must be a finite number"),
+        ({"timeout": float("inf")}, "timeout must be a finite number"),
+        ({"timeout": 0.0}, "timeout must be a finite number"),
+        ({"retries": -1}, "retries must be >= 0"),
+        ({"backoff_s": -0.5}, "backoff_s must be a finite number"),
+        ({"backoff_s": float("nan")}, "backoff_s must be a finite number"),
+        ({"workers": -2}, "workers must be >= 0"),
+    ])
+    def test_rejects_invalid_settings(self, template, kwargs, message):
+        # enforce_memory keeps the sweep on the pooled scalar route,
+        # where a bad timeout used to fail every batch at once.
+        settings = {"workers": 2, **kwargs}
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(template, 64, enforce_memory=True, max_results=3,
+                      **settings)
+
+    def test_accepts_boundary_settings(self, template):
+        outcome = run_sweep(template, 64, max_results=3, workers=0,
+                            timeout=30.0, retries=0, backoff_s=0.0)
+        assert outcome.results

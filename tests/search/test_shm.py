@@ -3,10 +3,9 @@
 Covers the ``repro.search.shm`` registry (publish/attach/refcount/
 cleanup, generation-tagged names), the guarantee that no ``/dev/shm``
 segment survives a drain, a SIGINT unwind or a SIGKILL'd publisher,
-and the bit-exactness contracts: a shipped compiled sweep and a
-shared-memory ``PreboundChunk`` must evaluate identically to their
-pickled counterparts, and the pickle fallback (no ``shared_memory``)
-must stay bit-exact against the in-process reference.
+and the bit-exactness contract: a shipped compiled sweep must evaluate
+identically to its pickled counterpart, and the pickle fallback (no
+``shared_memory``) must return the compiled sweep itself.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.hardware.system import SystemSpec
 from repro.parallelism.mapping import enumerate_mappings
 from repro.search import shm
 from repro.search.compiler import compile_sweep
-from repro.search.vectorized import bind_chunk, evaluate_prebound
 from repro.transformer.zoo import MODELS
 
 GLOBAL_BATCH = 256
@@ -233,74 +231,3 @@ class TestCompiledShipment:
         assert shm.ship_compiled(compiled) is compiled
         shm.release_shipment(compiled)  # no-op, must not raise
 
-
-@needs_shm
-class TestPreboundChunkTransport:
-    def _roundtrip(self, chunk):
-        return pickle.loads(pickle.dumps(chunk,
-                                         pickle.HIGHEST_PROTOCOL))
-
-    def _assert_equivalent(self, reference_chunk, restored):
-        ref_bounds, ref_outcomes = evaluate_prebound(
-            reference_chunk, need_bounds=True)
-        bounds, outcomes = evaluate_prebound(restored, need_bounds=True)
-        assert bounds == ref_bounds or all(
-            (a == b) or (a != a and b != b)
-            for a, b in zip(bounds, ref_bounds))
-        assert len(outcomes) == len(ref_outcomes)
-        for got, want in zip(outcomes, ref_outcomes):
-            if want is None:
-                assert got is None
-                continue
-            assert got.result.batch_time_s \
-                == want.result.batch_time_s  # bit-exact
-            assert got.result.breakdown.as_dict() \
-                == want.result.breakdown.as_dict()
-
-    def test_shared_roundtrip_is_bit_exact(self, template, compiled,
-                                           mappings):
-        specs = mappings[:32]
-        reference = bind_chunk(template, compiled, specs, GLOBAL_BATCH,
-                               True)
-        chunk = bind_chunk(template, compiled, specs, GLOBAL_BATCH, True)
-        assert chunk.publish_shared()
-        assert chunk.publish_shared()  # idempotent
-        try:
-            payload = pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
-            restored = pickle.loads(payload)
-            assert restored.batch.__dict__.get("_shm_attachment") \
-                is not None  # actually rode the segment
-            self._assert_equivalent(reference, restored)
-            restored.detach_shared()
-            restored.detach_shared()  # idempotent
-        finally:
-            chunk.release_shared()
-            chunk.release_shared()  # idempotent
-        assert shm.active_segments() == []
-
-    def test_pickle_fallback_is_bit_exact(self, template, compiled,
-                                          mappings, monkeypatch):
-        specs = mappings[:32]
-        reference = bind_chunk(template, compiled, specs, GLOBAL_BATCH,
-                               True)
-        monkeypatch.setattr(shm, "HAVE_SHM", False)
-        chunk = bind_chunk(template, compiled, specs, GLOBAL_BATCH, True)
-        assert not chunk.publish_shared()
-        restored = self._roundtrip(chunk)
-        assert restored.batch.__dict__.get("_shm_attachment") is None
-        self._assert_equivalent(reference, restored)
-
-    def test_valid_sentinel_roundtrip(self, template, compiled,
-                                      mappings):
-        chunk = bind_chunk(template, compiled, mappings[:8],
-                           GLOBAL_BATCH, False)
-        if len(chunk.valid) == len(chunk.specs):
-            assert isinstance(chunk.__getstate__()["valid"], int)
-        restored = self._roundtrip(chunk)
-        assert restored.valid == chunk.valid
-
-        partial = bind_chunk(template, compiled, mappings[:8],
-                             GLOBAL_BATCH, False)
-        partial.valid = partial.valid[:-1]  # no longer the identity
-        assert isinstance(partial.__getstate__()["valid"], list)
-        assert self._roundtrip(partial).valid == partial.valid

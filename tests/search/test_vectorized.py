@@ -31,7 +31,6 @@ from repro.obs.trace import get_tracer
 from repro.parallelism.mapping import enumerate_mappings
 from repro.search import vectorized as vectorized_module
 from repro.search.compiler import (
-    CompiledSweep,
     clear_compiled_cache,
     compile_sweep,
     install_compiled,
@@ -40,8 +39,6 @@ from repro.search.compiler import (
 from repro.search.dse import evaluate_candidate, explore
 from repro.search.vectorized import (
     BoundBatch,
-    bind_chunk,
-    evaluate_prebound,
     VectorizedSweep,
     clear_vectorized_stats,
     evaluate_chunk,
@@ -224,7 +221,7 @@ class TestPathSelection:
         assert resolve_evaluation_path("compiled", 433) == "vectorized"
         assert threshold_info() == {"threshold": 1, "source": "constant"}
 
-    @pytest.mark.parametrize("path", ["per_layer", "collapsed"])
+    @pytest.mark.parametrize("path", ["per_layer"])
     def test_other_paths_untouched(self, path):
         assert resolve_evaluation_path(path, 10**9) == path
 
@@ -259,8 +256,8 @@ class TestOptionalNumpyContract:
 
 
 class TestShipping:
-    """Bound batches and their compiled tables survive pickling — the
-    worker-pool shipping contract."""
+    """Bound batches and their compiled tables survive pickling, and
+    tables shipped to a pool worker back the array backend there."""
 
     def test_bound_batch_round_trips(self, compiled, mappings):
         batch = BoundBatch(compiled, mappings, tune_microbatches=True)
@@ -291,39 +288,6 @@ class TestShipping:
         install_compiled(clone)
         batch = VectorizedSweep(clone).bind(mappings)
         assert batch.n_specs == len(mappings)
-
-    def test_prebound_chunk_ships_lean_and_reattaches(
-            self, template, mappings):
-        # A cached compiled sweep is stripped from the pickle and
-        # reattached from the receiving process's compile cache — the
-        # warm-worker contract: chunks carry arrays, not tables.
-        parent = compile_sweep(template, GLOBAL_BATCH)
-        assert parent.cache_key is not None
-        chunk = bind_chunk(template, parent, mappings, GLOBAL_BATCH,
-                           tune_microbatches=True)
-        reference_bounds, reference = evaluate_prebound(chunk, True)
-        payload = pickle.dumps(chunk)
-        assert len(payload) < len(pickle.dumps(chunk.batch.compiled)) \
-            + len(pickle.dumps(chunk.batch.__getstate__()))
-        clone = pickle.loads(payload)
-        assert clone.batch.compiled is parent
-        bounds, outcomes = evaluate_prebound(clone, True)
-        assert bounds == reference_bounds
-        assert [o.result.batch_time_s for o in outcomes if o] \
-            == [o.result.batch_time_s for o in reference if o]
-
-    def test_prebound_chunk_without_cache_key_carries_tables(
-            self, template, mappings):
-        uncached = CompiledSweep(template, GLOBAL_BATCH)
-        assert uncached.cache_key is None
-        chunk = bind_chunk(template, uncached, mappings, GLOBAL_BATCH,
-                           tune_microbatches=False)
-        clone = pickle.loads(pickle.dumps(chunk))
-        assert clone.batch.compiled is not None
-        _, outcomes = evaluate_prebound(clone)
-        _, reference = evaluate_prebound(chunk)
-        assert [o.result.batch_time_s for o in outcomes if o] \
-            == [o.result.batch_time_s for o in reference if o]
 
 
 class TestObservability:

@@ -53,7 +53,7 @@ class TestLadder:
         ladder = DegradationLadder("compiled")
         assert ladder.restore() is False
         ladder.degrade()
-        assert ladder.current == "collapsed"
+        assert ladder.current == "serial"
         assert ladder.restore() is True
         assert ladder.current == "compiled"
         assert ladder.restore() is False
@@ -111,7 +111,7 @@ class TestBreaker:
         assert breaker.admit() is None
         breaker.record_failure(RuntimeError("still broken"))
         assert breaker.state == "open"
-        assert breaker.ladder.current == "collapsed"
+        assert breaker.ladder.current == "serial"
         assert breaker.admit() == pytest.approx(5.0)
 
     def test_sustained_success_restores_the_ladder(self, clock):
