@@ -80,19 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_catalog_entry_arg(sweep)
     sweep.add_argument("--batch", type=int, default=2048)
     sweep.add_argument("--top", type=int, default=10)
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps on the scalar "
-                            "route, used only without NumPy (1 = serial; "
-                            "ranking is identical); the NumPy route "
-                            "always runs in this process")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock limit per batch of worker "
-                            "results before the batch is retried")
-    sweep.add_argument("--retries", type=int, default=2,
-                       help="consecutive worker failures tolerated "
-                            "(with exponential backoff) before the "
-                            "sweep degrades to serial execution")
     sweep.add_argument("--journal", default=None, metavar="PATH",
                        help="append progress to a JSONL sweep journal "
                             "(resumable with --resume)")
@@ -279,6 +266,9 @@ def _cmd_estimate(args) -> int:
         _say(diagnosis.explain())
         return 1
     breakdown = amped.estimate_batch(args.batch)
+    # A bad --tokens fails here, before any of the report is printed.
+    estimate = (None if args.tokens is None
+                else amped.estimate(args.batch, total_tokens=args.tokens))
     _say(f"model:   {model.name}")
     _say(f"system:  {system.describe()}")
     if catalog_note is not None:
@@ -288,8 +278,7 @@ def _cmd_estimate(args) -> int:
           f"eff={amped.microbatch_efficiency(args.batch):.2f})")
     _say()
     _say(breakdown.format_table())
-    if args.tokens:
-        estimate = amped.estimate(args.batch, total_tokens=args.tokens)
+    if estimate is not None:
         _say(f"\ntraining {args.tokens:g} tokens: "
               f"{estimate.total_time_days:.1f} days "
               f"({estimate.n_batches} batches)")
@@ -305,8 +294,7 @@ def _cmd_sweep(args) -> int:
                                  efficiency=efficiency)
     journal_path = args.resume or args.journal
     outcome = run_sweep(template, args.batch, max_results=args.top,
-                        workers=args.jobs, timeout=args.timeout,
-                        retries=args.retries, journal_path=journal_path,
+                        journal_path=journal_path,
                         resume=args.resume is not None)
     rows = [(r.label, format_duration(r.batch_time_s),
              f"{r.microbatch_size:g}", f"{r.microbatch_efficiency:.2f}",
@@ -327,7 +315,6 @@ def _cmd_sweep(args) -> int:
         counters = outcome.cumulative["counters"]
         _say(f"journal cumulative: {counters['runs']} run(s), "
              f"{counters['evaluated']} evaluated, "
-             f"{counters['retried']} batch retries, "
              f"{counters['worker_errors']} worker errors, "
              f"{counters['interrupts']} interrupt(s)")
     if outcome.partial:

@@ -381,9 +381,10 @@ class AMPeD:
     def n_batches_for_tokens(self, global_batch: int,
                              total_tokens: float) -> int:
         """``N_batch`` to push ``total_tokens`` through training."""
-        if total_tokens <= 0:
+        if not (math.isfinite(total_tokens) and total_tokens > 0):
             raise ConfigurationError(
-                f"total_tokens must be positive, got {total_tokens}")
+                f"total_tokens must be a finite number > 0, "
+                f"got {total_tokens}")
         tokens_per_batch = global_batch * self.model.sequence_length
         return max(1, math.ceil(total_tokens / tokens_per_batch))
 

@@ -1,8 +1,7 @@
 """Structured accounting for resilient design-space sweeps.
 
 A long sweep is only trustworthy when it can say what happened to every
-candidate: evaluated, resumed from a journal, skipped (and *why*), or
-lost to a worker failure.  :class:`SweepReport` is that ledger — the
+candidate: evaluated, resumed from a journal, or skipped (and *why*).  :class:`SweepReport` is that ledger — the
 resilient sweep runtime (:mod:`repro.search.resilience`) fills one in
 as it runs and surfaces it next to the ranked results, so "the sweep
 finished" and "the sweep covered the space" stop being the same claim.
@@ -31,15 +30,9 @@ class SweepReport:
     skipped:
         Per-category counts of discarded candidates (categories from
         :data:`repro.search.dse.SKIP_CATEGORIES`).
-    retried:
-        Work batches that were re-submitted after a worker timeout,
-        crash, or unexpected exception.
     worker_errors:
-        Candidates that kept raising non-``ReproError`` exceptions even
-        serially and were journaled as ``worker_error`` skips.
-    degraded:
-        True when the runtime abandoned the process pool for serial
-        execution; ``degraded_reason`` says why.
+        Candidates that raised non-``ReproError`` exceptions and were
+        journaled as ``worker_error`` skips.
     partial:
         True when the sweep was cancelled before covering the space —
         the ranking is exact over everything evaluated so far.
@@ -51,10 +44,7 @@ class SweepReport:
     evaluated: int = 0
     resumed: int = 0
     skipped: Dict[str, int] = field(default_factory=dict)
-    retried: int = 0
     worker_errors: int = 0
-    degraded: bool = False
-    degraded_reason: str = ""
     partial: bool = False
     journal_path: Optional[str] = None
 
@@ -79,10 +69,7 @@ class SweepReport:
             "evaluated": self.evaluated,
             "resumed": self.resumed,
             "skipped": dict(sorted(self.skipped.items())),
-            "retried": self.retried,
             "worker_errors": self.worker_errors,
-            "degraded": self.degraded,
-            "degraded_reason": self.degraded_reason,
             "partial": self.partial,
             "journal_path": self.journal_path,
         }
@@ -94,10 +81,7 @@ class SweepReport:
                 ("resumed from journal", self.resumed)]
         rows += [(f"skipped: {category}", count)
                  for category, count in sorted(self.skipped.items())]
-        rows += [("batches retried", self.retried),
-                 ("worker errors", self.worker_errors)]
-        if self.degraded:
-            rows.append(("degraded to serial", self.degraded_reason))
+        rows.append(("worker errors", self.worker_errors))
         if self.partial:
             rows.append(("PARTIAL", "sweep interrupted before full "
                                     "coverage"))

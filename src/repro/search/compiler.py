@@ -82,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
 
 # amplint: disable-file=AMP204 — CompiledSweep is deliberately lock-free: an
 # instance is confined to one evaluating thread (the serve dispatcher, or a
-# pool worker's own unpickled copy), locks would break its picklability, and
+# fleet worker's own attached copy), locks would break its picklability, and
 # the _lookups/_misses counters are advisory hit-rate statistics.
 
 #: Breakdown component names in :class:`TrainingTimeBreakdown` order.
@@ -100,10 +100,9 @@ class CompiledSweep:
 
     One instance serves every candidate mapping of a (template, global
     batch) sweep.  Tables fill lazily — a miss calls the reference
-    estimator functions once per distinct minimal key — and the object
-    is picklable, so :func:`warm_worker` can ship pre-filled tables to
-    pool workers instead of letting each worker re-derive the
-    operation and collective memos from scratch.
+    estimator functions once per distinct minimal key.  The serve
+    fleet ships filled instances between worker processes
+    (:mod:`repro.search.shm`).
     """
 
     def __init__(self, template: "AMPeD", global_batch: int) -> None:
@@ -475,23 +474,6 @@ class CompiledSweep:
         totals = self._combine(spec, best_eff, include_bubble=False)
         return _total_of(totals)
 
-    def prefill(self, mappings: Iterable[ParallelismSpec],
-                tune_microbatches: bool = True) -> int:
-        """Fill the tables for a candidate set (infeasible candidates
-        are skipped); returns the number of combines performed.
-        Used before pickling the instance to pool workers."""
-        combines = 0
-        for spec in mappings:
-            n_ubs = (candidate_microbatch_counts(spec, self.global_batch)
-                     if tune_microbatches else [spec.microbatches])
-            for n_ub in n_ubs:
-                try:
-                    self.batch_time(spec.with_microbatches(n_ub))
-                except MappingError:
-                    continue
-                combines += 1
-        return combines
-
     # -- batch-fill accessors (vectorized backend) -----------------------------
     #
     # The NumPy backend (:mod:`repro.search.vectorized`) projects a whole
@@ -843,9 +825,9 @@ def compile_sweep(template: "AMPeD", global_batch: int) -> CompiledSweep:
 
 
 def install_compiled(compiled: CompiledSweep) -> None:
-    """Register a (typically pre-filled, unpickled) instance in the
-    process cache so subsequent :func:`compile_sweep` calls hit it —
-    the worker-process half of the pool warm-up."""
+    """Register an instance built elsewhere (a fleet peer's tables,
+    attached from shared memory) in the process cache so subsequent
+    :func:`compile_sweep` calls hit it."""
     with _CACHE_LOCK:
         _STATS["installed"] += 1
         if compiled.cache_key is not None:
@@ -879,35 +861,3 @@ def clear_compiled_cache() -> None:
         _CACHE.clear()
         for name in _STATS:
             _STATS[name] = 0
-
-
-def warm_worker(template: "AMPeD", global_batch: int,
-                compiled: Optional[object] = None) -> None:
-    """Process-pool initializer body: warm every per-process memo once
-    per worker instead of once per dispatched chunk.
-
-    Primes the ``build_operations`` LRU for the sweep's model and, for
-    compiled sweeps, installs the parent's pre-filled term tables
-    (which also carry every collective time the sweep needs, so the
-    collective memo never starts cold either).  ``compiled`` may be
-    the :class:`CompiledSweep` itself (the pickle path) or a
-    :class:`repro.search.shm.CompiledShipment` — a shared-memory
-    handle the worker attaches by name, so the tables cross the
-    process boundary once per sweep instead of once per worker.
-    """
-    build_operations(template.model, global_batch,
-                     template.include_embeddings)
-    if compiled is not None:
-        attach = getattr(compiled, "attach_compiled", None)
-        if attach is not None:
-            try:
-                compiled = attach()
-            except Exception:  # noqa: BLE001 — fallback boundary: a
-                # vanished segment (creator died mid-warm) must not
-                # kill the worker; it rebuilds tables like a cold one.
-                compiled = None
-        if compiled is not None:
-            install_compiled(compiled)
-            return
-    if template.evaluation_path == "compiled":
-        compile_sweep(template, global_batch)

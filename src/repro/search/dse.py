@@ -5,7 +5,7 @@ parallelism factorization of a system, evaluate AMPeD for each, and
 rank.  The explorer optionally tunes the microbatch count per mapping
 and filters mappings whose footprint exceeds accelerator memory.
 
-Three performance levers keep large spaces interactive (see
+Two performance levers keep large spaces interactive (see
 ``docs/performance.md``):
 
 - **The sweep compiler** (``evaluation_path="compiled"``, the default):
@@ -25,11 +25,9 @@ Three performance levers keep large spaces interactive (see
   evaluation.  The returned (truncated) ranking is provably identical
   to the unpruned one, and pruning is a no-op when ``max_results`` is
   ``None``.
-- **Process-pool fan-out** (``workers=N``) on the scalar routes only:
-  mappings are evaluated by ``N`` worker processes in submission
-  order, preserving the exact result ordering of the serial path.  A
-  pool initializer warms each worker's operation memo and ships the
-  parent's compiled term tables, so workers never start cold.
+
+Every sweep runs in one process: a worker pool lost to in-process
+evaluation at every size measured (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from repro.obs.trace import get_tracer, span
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search.compiler import CompiledSweep, compile_sweep, warm_worker
+from repro.search.compiler import CompiledSweep, compile_sweep
 from repro.search.tuning import microbatch_candidates, optimize_microbatches
 from repro.search.vectorized import (
     DEFAULT_CHUNK_CANDIDATES,
@@ -135,7 +133,6 @@ def explore(amped: AMPeD, global_batch: int,
             enforce_memory: bool = False,
             max_results: Optional[int] = None,
             prune: bool = True,
-            workers: Optional[int] = None,
             evaluation_path: str = "compiled") -> List[ExplorationResult]:
     """Evaluate every mapping and return results sorted fastest-first.
 
@@ -159,13 +156,6 @@ def explore(amped: AMPeD, global_batch: int,
         the sweep compiler's term tables) exceeds the incumbent
         ``max_results``-th best time.  Exact: the truncated ranking is
         identical to the unpruned one.  No-op without ``max_results``.
-    workers:
-        Evaluate mappings with a pool of this many worker processes
-        (``None``/``0``/``1`` = serial).  Submission order is
-        preserved, so the ranked result list matches the serial path
-        exactly.  Requires the template (including its efficiency fit)
-        to be picklable.  Only the scalar routes use the pool; the
-        vectorized route evaluates whole chunks in this process.
     evaluation_path:
         How each candidate evaluates Eq. 1 — overrides the template's
         own setting.  ``"compiled"`` (default) reads the sweep
@@ -216,12 +206,7 @@ def explore(amped: AMPeD, global_batch: int,
                                           mappings, tune_microbatches,
                                           max_results)
         else:
-            if workers is not None and workers > 1:
-                evaluated = _explore_parallel(evaluate, mappings,
-                                              workers, pruner, amped,
-                                              global_batch, compiled)
-            else:
-                evaluated = _explore_serial(evaluate, mappings, pruner)
+            evaluated = _explore_serial(evaluate, mappings, pruner)
             results = [result for result in evaluated
                        if result is not None]
             results.sort(key=lambda result: result.batch_time_s)
@@ -229,7 +214,6 @@ def explore(amped: AMPeD, global_batch: int,
                 results = results[:max_results]
         live.set_attrs(n_mappings=len(mappings),
                        n_results=len(results),
-                       workers=workers if workers else 1,
                        global_batch=global_batch)
         return results
 
@@ -402,50 +386,6 @@ def _explore_serial(evaluate: Callable, mappings: List[ParallelismSpec],
         if pruner is not None:
             pruner.record(result)
         out.append(result)
-    return out
-
-
-def _explore_parallel(evaluate: Callable, mappings: List[ParallelismSpec],
-                      workers: int, pruner: Optional["_BoundPruner"],
-                      template: AMPeD, global_batch: int,
-                      compiled: Optional[CompiledSweep]) -> List:
-    """Fan mappings out over a process pool, in submission order.
-
-    Work is dispatched in chunks so the pruner's incumbent (updated as
-    chunks complete) can skip later mappings, mirroring the serial
-    branch-and-bound.  Each worker process runs
-    :func:`repro.search.compiler.warm_worker` once on startup, priming
-    its operation memo and installing the parent's compiled term tables
-    — without it every worker re-derives both from scratch on its first
-    chunk (the cache cold-start the ``cache.*`` gauges used to show).
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.search.shm import release_shipment, ship_compiled
-
-    out = []
-    chunk_size = max(1, 4 * workers)
-    shipped = compiled if (compiled is not None
-                           and compiled.cache_key is not None) else None
-    # Ship the term tables through shared memory when available: each
-    # worker's warm-up attaches one segment instead of unpickling every
-    # table (identity/pickle fallback otherwise, bit-exact either way).
-    shipped = ship_compiled(shipped) if shipped is not None else None
-    try:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=warm_worker,
-                initargs=(template, global_batch, shipped)) as pool:
-            for start in range(0, len(mappings), chunk_size):
-                chunk = mappings[start:start + chunk_size]
-                if pruner is not None:
-                    chunk = [spec for spec in chunk
-                             if not pruner.should_skip(spec)]
-                for result in pool.map(evaluate, chunk):
-                    if pruner is not None:
-                        pruner.record(result)
-                    out.append(result)
-    finally:
-        release_shipment(shipped)
     return out
 
 

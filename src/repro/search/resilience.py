@@ -1,20 +1,12 @@
-"""Fault-tolerant sweep runtime: supervised workers + resumable journal.
+"""Resumable sweep runtime: journal, resume and SIGINT-safe top-k.
 
-:func:`repro.search.dse.explore` made large design-space sweeps fast;
-this module makes them *survivable*.  A long exploration is the hot
-path toward ranking millions of candidate mappings, and PR 1's
-process-pool fan-out turned one hung worker, one crashed process, or
-one ``Ctrl-C`` into hours of lost exact top-k work.  The paper already
-applies reliability discipline to the *modeled* system (the Daly
-checkpoint model in :mod:`repro.runtime.reliability`); this module
-applies the same discipline to the sweeps themselves:
+:func:`repro.search.dse.explore` ranks a design space in one call;
+:func:`run_sweep` ranks the same space with the same result while
+making a long run *survivable*.  The paper already applies reliability
+discipline to the *modeled* system (the Daly checkpoint model in
+:mod:`repro.runtime.reliability`); this module applies it to the sweeps
+themselves:
 
-- **Supervised workers** — every batch of candidate evaluations gets a
-  wall-clock ``timeout``; a timeout, a dead worker process, or an
-  unexpected worker exception tears the pool down, retries with
-  exponential backoff, and after ``retries`` consecutive failures
-  degrades gracefully to serial evaluation with a logged reason.  A
-  sweep never hangs silently and never dies with nothing to show.
 - **Resumable journal** — with ``journal_path`` set, every candidate's
   fate (evaluated with its timings, or skipped with a truthful category
   from the :data:`~repro.search.dse.SKIP_CATEGORIES` vocabulary) is
@@ -28,12 +20,17 @@ applies the same discipline to the sweeps themselves:
   ``Ctrl-C`` hard-aborts).  Callers that prefer exceptions can ask for
   :class:`~repro.errors.SweepInterrupted`, which carries the journal
   path and the partial ranking.
+- **Contained candidate failures** — a candidate that raises something
+  other than a :class:`~repro.errors.ReproError` is journaled as a
+  ``worker_error`` skip and the sweep goes on (``strict=True`` raises
+  :class:`~repro.errors.WorkerError` instead).
 
-Coverage accounting is surfaced as a
-:class:`~repro.reporting.sweep.SweepReport`.  The same
-supervise/journal/resume pattern is intended for every future
-long-running workload (fitting, sensitivity, experiment grids); see
-``docs/robustness.md`` for the state machine and the journal schema.
+Every sweep runs in this process: as one NumPy array program per
+candidate chunk when NumPy imports, otherwise (and for a custom
+``evaluate`` or ``enforce_memory=True``) as the pure-python walk of the
+same term tables.  Coverage accounting is surfaced as a
+:class:`~repro.reporting.sweep.SweepReport`; ``docs/robustness.md``
+documents the journal schema.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import random
 import signal
 import threading
 import time
@@ -65,8 +61,7 @@ from repro.obs.trace import span
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.spec import ParallelismSpec
 from repro.reporting.sweep import SweepReport
-from repro.search.compiler import CompiledSweep, compile_sweep, warm_worker
-from repro.search.shm import release_shipment, ship_compiled
+from repro.search.compiler import CompiledSweep, compile_sweep
 from repro.search.dse import (
     SKIP_MAPPING_INFEASIBLE,
     SKIP_MEMORY_CAPACITY,
@@ -96,9 +91,6 @@ JOURNAL_SCHEMA_VERSION = 1
 _HEADER_IDENTITY_FIELDS = ("model", "system", "global_batch",
                            "tune_microbatches", "enforce_memory",
                            "n_candidates")
-
-#: Ceiling on one exponential-backoff pause, seconds.
-_MAX_BACKOFF_S = 30.0
 
 
 def spec_key(spec: ParallelismSpec) -> str:
@@ -337,170 +329,6 @@ def _sigint_trap():
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool supervisor
-# ---------------------------------------------------------------------------
-
-
-class _PoolSupervisor:
-    """Owns the process pool and its retry/degrade state machine.
-
-    States: ``pool`` (healthy fan-out) → ``retry`` (tear down, back
-    off, rebuild — at most ``retries`` consecutive times) → ``serial``
-    (permanent degradation; the caller evaluates in-process).  Any
-    failure mode — a batch timeout, a dead worker process, or an
-    unexpected exception from the evaluation function — takes the same
-    path, so no failure can hang the sweep.
-    """
-
-    def __init__(self, workers: int, evaluate: Callable,
-                 timeout: Optional[float], retries: int,
-                 backoff_s: float,
-                 template: Optional[AMPeD] = None,
-                 global_batch: int = 0,
-                 compiled: Optional[CompiledSweep] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        self.workers = workers
-        self.evaluate = evaluate
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_s = backoff_s
-        #: Jitter source for retry backoff; injectable so tests can pin
-        #: the draw.
-        self.rng = rng if rng is not None else random.Random()
-        #: Warm-up payload for new worker processes: the sweep template
-        #: (primes the operation memo) and, for compiled sweeps, the
-        #: parent's pre-filled term tables.  ``None`` template = no
-        #: initializer (fault-injection tests with synthetic evaluate).
-        self.template = template
-        self.global_batch = global_batch
-        self.compiled = compiled
-        self.degraded = False
-        self.degraded_reason = ""
-        self.consecutive_failures = 0
-        self.total_retries = 0
-        self._pool = None
-
-    # -- pool lifecycle -----------------------------------------------------
-
-    def _ensure_pool(self) -> "ProcessPoolExecutor":
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-            if self.template is not None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=warm_worker,
-                    initargs=(self.template, self.global_batch,
-                              self.compiled))
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def shutdown(self) -> None:
-        """Tear the pool down without ever waiting on a hung worker."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # ProcessPoolExecutor has no public kill switch; a hung worker
-        # would survive shutdown() and stall interpreter exit (the
-        # executor manager thread joins on it).  Snapshot the process
-        # handles *before* shutdown() — it nulls out ``_processes`` even
-        # with ``wait=False`` — then terminate whatever is still alive.
-        processes = dict(getattr(pool, "_processes", None) or {})
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        finally:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-
-    # -- supervised execution ----------------------------------------------
-
-    def run_chunk(self, specs: List[ParallelismSpec],
-                  cancelled: Callable[[], bool]
-                  ) -> Tuple[List[CandidateOutcome],
-                             List[ParallelismSpec]]:
-        """Evaluate ``specs`` on the pool, supervising each batch.
-
-        Returns ``(outcomes, leftover)``: outcomes are collected in
-        submission order; ``leftover`` is whatever was abandoned to
-        cancellation or permanent degradation (the caller evaluates it
-        serially, or drops it on cancel).
-        """
-        remaining = list(specs)
-        outcomes: List[CandidateOutcome] = []
-        while remaining and not self.degraded and not cancelled():
-            failure = None
-            collected = 0
-            try:
-                pool = self._ensure_pool()
-                # self.evaluate holds a module-level function or
-                # functools.partial over one (the constructor contract),
-                # not a bound method; it pickles cleanly.
-                futures = [pool.submit(self.evaluate, spec)  # amplint: disable=AMP202 — attribute holds a picklable module-level callable
-                           for spec in remaining]
-            except Exception as error:  # noqa: BLE001 — supervised boundary: pool spawn/submit failures trigger retry-or-degrade
-                self._note_failure(error)
-                continue
-            deadline = (None if self.timeout is None
-                        else time.monotonic() + self.timeout)
-            for future in futures:
-                wait = (None if deadline is None
-                        else max(0.0, deadline - time.monotonic()))
-                try:
-                    outcomes.append(future.result(timeout=wait))
-                except Exception as error:  # noqa: BLE001 — supervised boundary: worker crash/timeout is recorded and retried
-                    failure = error
-                    break
-                collected += 1
-                if cancelled():
-                    break
-            remaining = remaining[collected:]
-            if failure is None:
-                if cancelled():
-                    for future in futures:
-                        future.cancel()
-                    break
-                self.consecutive_failures = 0
-            else:
-                self._note_failure(failure)
-        return outcomes, remaining
-
-    def _note_failure(self, error: BaseException) -> None:
-        """One supervision event: tear down, then retry or degrade."""
-        self.consecutive_failures += 1
-        self.shutdown()
-        if self.consecutive_failures > self.retries:
-            self.degraded = True
-            self.degraded_reason = (
-                f"worker pool failed {self.consecutive_failures} "
-                f"consecutive times (last: {error!r}); "
-                "continuing serially")
-            get_metrics().gauge("sweep.degraded").set(1.0)
-            _LOG.warning("sweep degraded: %s", self.degraded_reason)
-            return
-        self.total_retries += 1
-        metrics = get_metrics()
-        metrics.counter("sweep.retries").inc()
-        cap = min(_MAX_BACKOFF_S,
-                  self.backoff_s * 2 ** (self.consecutive_failures - 1))
-        # Full jitter: a uniform draw over [0, cap] instead of the
-        # deterministic cap, so sweeps that fail together (a shared
-        # machine stall, a common poisoned input) do not retry in
-        # lockstep and re-trigger the very overload that failed them.
-        delay = self.rng.uniform(0.0, cap) if cap > 0 else 0.0
-        metrics.histogram("sweep.retry_sleep_seconds").observe(delay)
-        _LOG.warning(
-            "sweep worker batch failed (%r); retry %d/%d after %.2fs "
-            "(jittered, cap %.2fs)",
-            error, self.consecutive_failures, self.retries, delay, cap)
-        with span("dse.retry", category="search",
-                  attrs={"attempt": self.consecutive_failures,
-                         "retries": self.retries,
-                         "cap_s": cap, "sleep_s": delay}):
-            if delay > 0:
-                time.sleep(delay)
-
-
-# ---------------------------------------------------------------------------
 # The resilient sweep
 # ---------------------------------------------------------------------------
 
@@ -512,7 +340,7 @@ class SweepOutcome:
     results: List[ExplorationResult] = field(default_factory=list)
     report: SweepReport = field(default_factory=SweepReport)
     #: Journal-cumulative operational counters (runs, evaluated,
-    #: retried, worker_errors, interrupts) spanning every run that
+    #: skipped, worker_errors, interrupts) spanning every run that
     #: contributed to the journal; ``None`` when journaling is off.
     cumulative: Optional[dict] = None
 
@@ -533,45 +361,22 @@ def run_sweep(template: AMPeD, global_batch: int,
               enforce_memory: bool = False,
               max_results: Optional[int] = None,
               prune: bool = True,
-              workers: Optional[int] = None,
-              timeout: Optional[float] = None,
-              retries: int = 2,
-              backoff_s: float = 0.5,
-              backoff_rng: Optional[random.Random] = None,
               journal_path=None,
               resume: bool = False,
               strict: bool = False,
               raise_on_interrupt: bool = False,
               evaluate: Optional[Callable] = None,
               evaluation_path: str = "compiled") -> SweepOutcome:
-    """Explore the design space under supervision; never hang, never
-    lose finished work.
+    """Explore the design space in this process; never lose finished
+    work.
 
     Ranking semantics match :func:`repro.search.dse.explore` exactly
     (same submission order, same branch-and-bound pruning, same
     fastest-first truncation to ``max_results``); the additional
-    parameters control fault tolerance:
+    parameters control persistence and failure handling:
 
     Parameters
     ----------
-    workers:
-        Worker processes for the scalar route (``None``/``0``/``1`` =
-        serial).  The vectorized route evaluates every chunk in this
-        process whatever this says, so the pool and the supervision
-        parameters below only matter for sweeps that stay scalar: a
-        custom ``evaluate``, ``enforce_memory=True``, or no NumPy.
-    timeout:
-        Wall-clock seconds allowed per submitted batch of worker
-        results before the batch is considered hung (``None`` = wait
-        forever, the pre-resilience behavior).  Must be finite and
-        positive when given.
-    retries:
-        Consecutive batch failures (timeout, dead worker, unexpected
-        exception) tolerated — each retried after a *full-jitter*
-        exponential backoff, a uniform draw from
-        ``[0, backoff_s * 2**n]`` (``backoff_rng`` injects the
-        randomness source for deterministic tests) — before the sweep
-        degrades to serial evaluation for the remainder.
     journal_path:
         Append-only JSONL journal destination; ``None`` disables
         persistence.
@@ -579,18 +384,17 @@ def run_sweep(template: AMPeD, global_batch: int,
         Replay ``journal_path`` first and evaluate only candidates it
         does not already cover.
     strict:
-        Raise :class:`~repro.errors.WorkerError` when a candidate keeps
-        failing with a non-``ReproError`` even serially, instead of
-        journaling it as a ``worker_error`` skip and continuing.
+        Raise :class:`~repro.errors.WorkerError` when a candidate fails
+        with a non-``ReproError``, instead of journaling it as a
+        ``worker_error`` skip and continuing.
     raise_on_interrupt:
         Raise :class:`~repro.errors.SweepInterrupted` (carrying the
         journal path and partial ranking) on SIGINT instead of
         returning a ``partial=True`` outcome.
     evaluate:
-        Evaluation function ``spec -> CandidateOutcome`` (picklable for
-        worker pools); defaults to the real
-        :func:`~repro.search.dse.evaluate_candidate` over ``template``.
-        Exposed for fault-injection tests.
+        Evaluation function ``spec -> CandidateOutcome``; defaults to
+        the real :func:`~repro.search.dse.evaluate_candidate` over
+        ``template``.  Exposed for fault-injection tests.
     evaluation_path:
         How each candidate evaluates Eq. 1 (``"compiled"`` default;
         see :func:`repro.search.dse.explore`) — overrides the
@@ -603,7 +407,6 @@ def run_sweep(template: AMPeD, global_batch: int,
         written under one path resumes deterministically under another.
     """
     validate_max_results(max_results)
-    _validate_supervision(workers, timeout, retries, backoff_s)
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None
@@ -646,7 +449,7 @@ def run_sweep(template: AMPeD, global_batch: int,
     results: List[ExplorationResult] = []
     # The compiled term tables back the pruner's compute+communication
     # lower bound on every evaluation path (keeping skip counters
-    # path-independent) and are shipped to pool workers.
+    # path-independent).
     compiled: Optional[CompiledSweep] = None
     if prune or template.evaluation_path != "per_layer":
         compiled = compile_sweep(template, global_batch)
@@ -702,7 +505,7 @@ def run_sweep(template: AMPeD, global_batch: int,
             metrics.counter(
                 f"sweep.skipped.{outcome.skip_category}").inc()
 
-    def evaluate_serially(spec: ParallelismSpec) -> CandidateOutcome:
+    def evaluate_one(spec: ParallelismSpec) -> CandidateOutcome:
         started = time.perf_counter()
         try:
             return evaluate(spec)
@@ -717,7 +520,7 @@ def run_sweep(template: AMPeD, global_batch: int,
         except Exception as error:  # noqa: BLE001 — supervised boundary
             report.worker_errors += 1
             metrics.counter("sweep.worker_errors").inc()
-            _LOG.warning("candidate %s failed even serially: %r",
+            _LOG.warning("candidate %s failed: %r",
                          spec.describe(), error)
             if strict:
                 raise WorkerError(
@@ -730,40 +533,18 @@ def run_sweep(template: AMPeD, global_batch: int,
             metrics.histogram("sweep.candidate_seconds").observe(
                 time.perf_counter() - started)
 
-    # The vectorized path evaluates whole chunks as array programs in
-    # this process; it never uses the worker pool, which lost to it at
-    # every measured sweep size.
+    # The vectorized path evaluates whole chunks as array programs; the
+    # scalar walk takes one candidate at a time.
     use_vectorized = (template.evaluation_path == "vectorized"
                       and not custom_evaluate and not enforce_memory)
-    use_pool = (workers is not None and workers > 1
-                and not use_vectorized)
-    shipped = None
-    supervisor = None
-    if use_pool:
-        # Term tables ride to pool workers through shared memory when
-        # the platform supports it: the warm-up initializer then
-        # attaches one segment instead of unpickling every table per
-        # worker.  Without shared_memory/NumPy this is the identity and
-        # the pickle path ships the tables by value, bit-exact either
-        # way.
-        if compiled is not None and compiled.cache_key is not None:
-            shipped = ship_compiled(compiled)
-        supervisor = _PoolSupervisor(workers, evaluate, timeout, retries,
-                                     backoff_s, template=template,
-                                     global_batch=global_batch,
-                                     compiled=shipped, rng=backoff_rng)
-    if use_vectorized:
-        chunk_size = DEFAULT_CHUNK_CANDIDATES
-    else:
-        chunk_size = max(1, 4 * workers) if use_pool else 1
+    chunk_size = DEFAULT_CHUNK_CANDIDATES if use_vectorized else 1
     interrupted = False
     cumulative: Optional[dict] = None
 
     with _sigint_trap() as cancelled, \
             span("sweep.run", category="search",
                  attrs={"n_candidates": len(mappings),
-                        "n_pending": len(pending),
-                        "workers": workers if use_pool else 1}):
+                        "n_pending": len(pending)}):
         try:
             position = 0
             while position < len(pending):
@@ -817,7 +598,7 @@ def run_sweep(template: AMPeD, global_batch: int,
                             outcome = outcomes[index]
                             if outcome is None:
                                 fallbacks += 1
-                                outcome = evaluate_serially(spec)
+                                outcome = evaluate_one(spec)
                             absorb(outcome)
                         live.set_attrs(scalar_fallbacks=fallbacks)
                     chunk_seconds.observe(
@@ -829,7 +610,6 @@ def run_sweep(template: AMPeD, global_batch: int,
                           attrs={"offset": position,
                                  "size": len(chunk)}):
                     position += len(chunk)
-                    runnable = []
                     for spec in chunk:
                         category = (pruner.skip_category(spec)
                                     if pruner is not None else None)
@@ -842,31 +622,11 @@ def run_sweep(template: AMPeD, global_batch: int,
                                 spec=spec, skip_category=category,
                                 detail=detail))
                         else:
-                            runnable.append(spec)
-                    if supervisor is not None and not supervisor.degraded:
-                        outcomes, runnable = supervisor.run_chunk(
-                            runnable, cancelled)
-                        for outcome in outcomes:
-                            absorb(outcome)
-                        if supervisor.degraded and not report.degraded:
-                            report.degraded = True
-                            report.degraded_reason = \
-                                supervisor.degraded_reason
-                        report.retried = supervisor.total_retries
-                    for spec in runnable:
-                        if cancelled():
-                            interrupted = True
-                            break
-                        absorb(evaluate_serially(spec))
+                            absorb(evaluate_one(spec))
                 if cancelled():
                     interrupted = True
                     break
         finally:
-            if supervisor is not None:
-                supervisor.shutdown()
-            # The shared term tables unlink here — a cancelled sweep
-            # leaks nothing.
-            release_shipment(shipped)
             if journal is not None:
                 cumulative = _cumulative_counters(
                     journal.prior_metrics, report, interrupted)
@@ -895,30 +655,6 @@ def run_sweep(template: AMPeD, global_batch: int,
                         cumulative=cumulative)
 
 
-def _validate_supervision(workers: Optional[int],
-                          timeout: Optional[float], retries: int,
-                          backoff_s: float) -> None:
-    """Raise :class:`ConfigurationError` for supervision settings that
-    cannot work: a non-positive or non-finite ``timeout`` would time
-    every pool batch out at once, and negative counts or backoffs have
-    no meaning."""
-    if timeout is not None and not (math.isfinite(timeout)
-                                    and timeout > 0):
-        raise ConfigurationError(
-            f"timeout must be a finite number of seconds > 0, "
-            f"got {timeout!r}")
-    if retries < 0:
-        raise ConfigurationError(
-            f"retries must be >= 0, got {retries!r}")
-    if not (math.isfinite(backoff_s) and backoff_s >= 0):
-        raise ConfigurationError(
-            f"backoff_s must be a finite number of seconds >= 0, "
-            f"got {backoff_s!r}")
-    if workers is not None and workers < 0:
-        raise ConfigurationError(
-            f"workers must be >= 0, got {workers!r}")
-
-
 def _cumulative_counters(prior: Optional[dict], report: SweepReport,
                          interrupted: bool) -> dict:
     """Journal-cumulative operational counters.
@@ -926,8 +662,10 @@ def _cumulative_counters(prior: Optional[dict], report: SweepReport,
     Coverage numbers (``evaluated``, ``skipped``) are already
     journal-cumulative in the report — resumption replays every prior
     candidate into it — so they are taken as-is; run-scoped counters
-    (``runs``, ``retried``, ``worker_errors``, ``interrupts``) add onto
-    the previous metrics record of the journal being resumed.
+    (``runs``, ``worker_errors``, ``interrupts``) add onto the previous
+    metrics record of the journal being resumed.  Counters that older
+    runs recorded and this code no longer keeps (``retried``, from the
+    removed worker pool) are ignored.
     """
     base = (prior or {}).get("counters", {})
 
@@ -939,7 +677,6 @@ def _cumulative_counters(prior: Optional[dict], report: SweepReport,
         "runs": prior_count("runs") + 1,
         "evaluated": report.evaluated + report.resumed,
         "skipped": sum(report.skipped.values()),
-        "retried": prior_count("retried") + report.retried,
         "worker_errors": (prior_count("worker_errors")
                           + report.worker_errors),
         "interrupts": prior_count("interrupts") + (1 if interrupted

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory publication of compiled term tables.
 
-Parallel sweeps and the pre-fork serve daemon both need the same data
-in many processes at once: the dense ``float64`` term tables of a
+The pre-fork serve daemon needs the same data in many processes at
+once: the dense ``float64`` term tables of a
 :class:`~repro.search.compiler.CompiledSweep`.  Pickling them costs an
 O(tables) copy through a pipe for every receiving process.
 

@@ -38,9 +38,7 @@ NumPy is an **optional** dependency.  With it installed,
 sweep, whatever its size, to this backend: the array program is faster
 than the scalar walk even on sweeps of a few dozen candidates, and
 both read the same term tables.  ``explore`` and ``run_sweep`` run it
-in their own process, chunk by chunk through :func:`evaluate_chunk`,
-whatever their ``workers`` setting: shipping bound chunks to a process
-pool lost to in-process evaluation at every measured sweep size.
+in their own process, chunk by chunk through :func:`evaluate_chunk`.
 Without NumPy, sweeps run on the pure-python ``"compiled"`` path, and
 an explicit API request for ``evaluation_path="vectorized"`` raises a
 :class:`~repro.errors.ConfigurationError`.  See

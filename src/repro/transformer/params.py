@@ -13,6 +13,8 @@ time into the TFLOP/s/GPU metric of Table II and Fig. 2c.
 
 from __future__ import annotations
 
+import functools
+
 from repro.transformer.config import TransformerConfig
 from repro.transformer.layers import (
     attention_sublayer,
@@ -37,6 +39,7 @@ def dense_layer_parameters(config: TransformerConfig) -> float:
             + mlp_sublayer(config, 1).parameters)
 
 
+@functools.lru_cache(maxsize=64)
 def total_parameters(config: TransformerConfig,
                      include_embeddings: bool = True) -> float:
     """Trainable parameters of the whole model.
@@ -44,6 +47,10 @@ def total_parameters(config: TransformerConfig,
     For MoE models this is the *expanded* count including every expert
     (the number that makes GLaM 1.2T "1.2T"), not the per-token active
     parameters.
+
+    Memoized per ``(config, include_embeddings)``: configs are frozen
+    dataclasses and the count depends on nothing else, while the
+    memory screen of a sweep asks for it once per candidate.
     """
     layers = sum(layer_parameters(config, layer)
                  for layer in range(config.n_layers))

@@ -78,6 +78,14 @@ class TestEstimates:
             64, total_tokens=10.5 * tokens_per_batch)
         assert estimate.n_batches == 11
 
+    @pytest.mark.parametrize("tokens", [0.0, -5.0, float("nan"),
+                                        float("inf")])
+    def test_tokens_must_be_finite_and_positive(self, tiny_amped,
+                                                tokens):
+        with pytest.raises(ConfigurationError,
+                           match="total_tokens must be a finite number"):
+            tiny_amped.estimate(64, total_tokens=tokens)
+
     def test_exactly_one_duration_arg(self, tiny_amped):
         with pytest.raises(ConfigurationError):
             tiny_amped.estimate(64)

@@ -73,34 +73,32 @@ class TestCommands:
         assert "mapping" in out
         assert "batch time" in out
 
-    def test_sweep_rejects_unknown_eval_mode(self, capsys):
-        # --eval-mode is gone; argparse rejects it like any unknown flag.
+    @pytest.mark.parametrize("flag,value", [
+        ("--eval-mode", "compiled"), ("--jobs", "2"), ("--timeout", "2"),
+        ("--retries", "2")])
+    def test_sweep_rejects_removed_flags(self, flag, value, capsys):
+        # Sweeps have one evaluator route and run in one process; these
+        # flags are gone and argparse rejects them like any unknown one.
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--nodes", "2", "--model", "mingpt-85m",
-                  "--batch", "256", "--eval-mode", "compiled"])
+                  "--batch", "256", "--top", "3", flag, value])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --eval-mode" \
+        assert f"unrecognized arguments: {flag} {value}" \
             in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--jobs", "-2"], "workers must be >= 0, got -2"),
-        (["--timeout", "-5"], "timeout must be a finite number of "
-                              "seconds > 0, got -5.0"),
-        (["--timeout", "nan"], "timeout must be a finite number of "
-                               "seconds > 0, got nan"),
-        (["--timeout", "0"], "timeout must be a finite number of "
-                             "seconds > 0, got 0.0"),
-        (["--retries", "-1"], "retries must be >= 0, got -1"),
-    ])
-    def test_sweep_rejects_invalid_supervision(self, flags, message,
-                                               capsys):
-        exit_code = main(["sweep", "--nodes", "2",
-                          "--model", "mingpt-85m", "--batch", "256",
-                          "--top", "3"] + flags)
+    @pytest.mark.parametrize("command", ["estimate", "cost"])
+    @pytest.mark.parametrize("tokens", ["-5", "0", "nan", "inf"])
+    def test_rejects_bad_tokens_before_any_output(self, command, tokens,
+                                                  capsys):
+        exit_code = main([command, "--nodes", "4", "--tp", "8",
+                          "--dp", "4", "--batch", "512",
+                          f"--tokens={tokens}"])
         assert exit_code == 2
         captured = capsys.readouterr()
-        assert captured.err.strip().splitlines() == [f"error: {message}"]
         assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: total_tokens must be a finite number > 0, "
+            f"got {float(tokens)}"]
 
     def test_sweep_rejects_top_zero(self, capsys):
         exit_code = main(["sweep", "--nodes", "2",

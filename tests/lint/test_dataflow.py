@@ -106,15 +106,17 @@ class TestSeededMutations:
         assert "_warmed" in result.violations[0].message
 
     def test_non_picklable_closure_into_the_pool(self, src_copy):
+        # The shipped tree has no process pool; seed one whose payload
+        # is a lambda next to the sweep runtime it would fan out.
         resilience = src_copy / "search" / "resilience.py"
-        source = resilience.read_text()
-        original = ("pool.submit(self.evaluate, spec)  "
-                    "# amplint: disable=AMP202 — attribute holds a "
-                    "picklable module-level callable")
-        assert original in source, "expected submit site not found"
-        resilience.write_text(source.replace(
-            original, "pool.submit(lambda s=spec: self.evaluate(s))",
-            1))
+        assert "ProcessPoolExecutor" not in resilience.read_text()
+        with resilience.open("a", encoding="utf-8") as handle:
+            handle.write(
+                "\n\nfrom concurrent.futures import ProcessPoolExecutor"
+                "\n\n\ndef _fan_out(evaluate, specs):\n"
+                "    pool = ProcessPoolExecutor(max_workers=2)\n"
+                "    return [pool.submit(lambda s=spec: evaluate(s))\n"
+                "            for spec in specs]\n")
         result = run_flow_lint([src_copy], select=["AMP202"])
         assert [v.rule_id for v in result.violations] == ["AMP202"]
         assert result.violations[0].path.endswith(

@@ -6,7 +6,7 @@ lookups + additions (:mod:`repro.search.compiler`), one representative
 per layer class.  Eq. 1 is linear in every per-layer term, so it agrees
 with the per-layer reference within 1e-9 — here pinned across every zoo
 model, and across whole sweeps: identical skip categories and coverage
-counters, with pruning on, and through a worker pool.
+counters, with pruning on, and against a one-by-one per-layer ranking.
 """
 
 from __future__ import annotations
@@ -120,12 +120,21 @@ def test_explore_ranking_identical_across_paths(prune, system):
             <= RELATIVE_TOLERANCE
 
 
-def test_explore_parallel_matches_serial(system):
-    """A worker pool (warmed via the initializer) returns the identical
-    ranking to the serial compiled sweep."""
+def test_explore_matches_per_candidate_oracle(system):
+    """The default sweep ranks exactly like evaluating every mapping
+    one by one on the per-layer oracle and sorting."""
     template = AMPeD.for_mapping(MODELS["mingpt-85m"], system,
                                  dp=system.n_accelerators)
-    serial = explore(template, GLOBAL_BATCH, max_results=5)
-    pooled = explore(template, GLOBAL_BATCH, max_results=5, workers=2)
-    assert [(r.label, r.batch_time_s) for r in serial] \
-        == [(r.label, r.batch_time_s) for r in pooled]
+    ranked = explore(template, GLOBAL_BATCH, max_results=5)
+    per_layer = replace(template, evaluation_path="per_layer")
+    oracle = sorted(
+        (outcome.result for outcome in (
+            evaluate_candidate(per_layer, spec, GLOBAL_BATCH)
+            for spec in enumerate_mappings(system, template.model))
+         if outcome.evaluated),
+        key=lambda result: result.batch_time_s)[:5]
+    assert [r.label for r in ranked] == [r.label for r in oracle]
+    for ours, reference in zip(ranked, oracle):
+        scale = max(abs(reference.batch_time_s), 1e-300)
+        assert abs(ours.batch_time_s - reference.batch_time_s) / scale \
+            <= RELATIVE_TOLERANCE

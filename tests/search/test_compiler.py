@@ -30,13 +30,9 @@ from repro.search.compiler import (
     compile_sweep,
     compiled_cache_stats,
     install_compiled,
-    warm_worker,
 )
 from repro.search.dse import compute_lower_bound
-from repro.search.tuning import (
-    candidate_microbatch_counts,
-    optimize_microbatches,
-)
+from repro.search.tuning import optimize_microbatches
 from repro.transformer.zoo import MODELS
 
 GLOBAL_BATCH = 256
@@ -189,20 +185,6 @@ class TestTables:
         assert second["misses"] == first["misses"]
         assert second["entries"] == first["entries"]
 
-    def test_prefill_covers_the_sweep(self, template, system):
-        compiled = CompiledSweep(template, GLOBAL_BATCH)
-        mappings = enumerate_mappings(system, template.model)
-        combines = compiled.prefill(mappings)
-        assert combines > 0
-        misses_after_prefill = compiled.stats()["misses"]
-        for spec in mappings:
-            for n_ub in candidate_microbatch_counts(spec, GLOBAL_BATCH):
-                try:
-                    compiled.batch_time(spec.with_microbatches(n_ub))
-                except MappingError:
-                    continue
-        assert compiled.stats()["misses"] == misses_after_prefill
-
 
 class TestProcessCache:
     def test_compile_sweep_caches_by_identity(self, template):
@@ -239,17 +221,6 @@ class TestProcessCache:
         # The shipped instance carries the parent's filled tables.
         assert shipped.stats()["entries"] \
             == original.stats()["entries"]
-
-    def test_warm_worker_installs_tables(self, template):
-        parent = compile_sweep(template, GLOBAL_BATCH)
-        clear_compiled_cache()
-        warm_worker(template, GLOBAL_BATCH, compiled=parent)
-        assert compile_sweep(template, GLOBAL_BATCH) is parent
-
-    def test_warm_worker_compiles_when_nothing_shipped(self, template):
-        warm_worker(replace(template, evaluation_path="compiled"),
-                    GLOBAL_BATCH)
-        assert compiled_cache_stats()["builds"] == 1
 
 
 class TestSeeding:

@@ -134,18 +134,6 @@ class TestPruning:
             assert bound <= result.batch_time_s + 1e-12
 
 
-class TestParallelExplore:
-    def test_workers_match_serial_ranking(self, template):
-        serial = explore(template, 64, max_results=5)
-        parallel = explore(template, 64, max_results=5, workers=2)
-        assert [(r.label, r.batch_time_s) for r in parallel] \
-            == [(r.label, r.batch_time_s) for r in serial]
-
-    def test_single_worker_stays_serial(self, template):
-        assert [r.label for r in explore(template, 64, workers=1)] \
-            == [r.label for r in explore(template, 64)]
-
-
 class TestMemoryCheckDedup:
     def test_tuned_candidates_skip_recheck(self, template, monkeypatch):
         import repro.search.dse as dse_module

@@ -1,11 +1,12 @@
-"""Fault-injection tests for the resilient sweep runtime.
+"""Fault-injection tests for the resumable sweep runtime.
 
-Covers the failure paths the plain explorer cannot survive: a worker
-that hangs (the batch timeout fires and the pool is rebuilt), a worker
-that raises a non-``ReproError`` (retry with backoff, then graceful
-degradation to serial), SIGINT mid-sweep (exact partial top-k), and the
-journal's resume round trip (interrupted + resumed == uninterrupted,
-with no candidate evaluated twice).
+Covers the failure paths the plain explorer cannot survive: a
+candidate that raises a non-``ReproError`` (journaled as a
+``worker_error`` skip, or raised under ``strict``), SIGINT mid-sweep
+(exact partial top-k), and the journal's resume round trip (interrupted
++ resumed == uninterrupted, with no candidate evaluated twice).  The
+memory screen's parameter count is memoized per model; a test pins
+that it changes no ranking.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import time
 from dataclasses import replace
 
 import pytest
@@ -21,6 +21,7 @@ import pytest
 from repro.core.breakdown import TrainingTimeBreakdown
 from repro.core.model import AMPeD
 from repro.errors import ConfigurationError, SweepInterrupted, WorkerError
+from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.dse import (
@@ -36,13 +37,12 @@ from repro.search.resilience import (
     run_sweep,
     spec_key,
 )
+from repro.transformer import params
+from repro.transformer.zoo import MODELS
 
 # --------------------------------------------------------------------------
-# Picklable fault-injection evaluation functions (module level so worker
-# processes can unpickle them by qualified name).
+# Fault-injection evaluation functions
 # --------------------------------------------------------------------------
-
-_MAIN_PID = os.getpid()
 
 #: Explicit candidate list with distinct, deterministic fake timings.
 FAKE_SPECS = [
@@ -76,14 +76,6 @@ def _eval_ok(spec: ParallelismSpec) -> CandidateOutcome:
     return _fake_outcome(spec)
 
 
-def _eval_hang_in_worker(spec: ParallelismSpec) -> CandidateOutcome:
-    """Hang forever in pool workers; evaluate instantly in the parent
-    (i.e. after degradation to serial execution)."""
-    if os.getpid() != _MAIN_PID:
-        time.sleep(300.0)
-    return _fake_outcome(spec)
-
-
 def _eval_raise(spec: ParallelismSpec) -> CandidateOutcome:
     raise RuntimeError("injected worker crash")
 
@@ -108,55 +100,24 @@ class TestRankingEquivalence:
             == [(r.label, r.batch_time_s) for r in ranked]
         assert not outcome.partial
 
-    def test_pool_matches_explore(self, template):
-        ranked = explore(template, 64, max_results=5)
-        outcome = run_sweep(template, 64, max_results=5, workers=2)
-        assert [(r.label, r.batch_time_s) for r in outcome.results] \
-            == [(r.label, r.batch_time_s) for r in ranked]
-
     def test_report_covers_the_space(self, template):
         outcome = run_sweep(template, 64, max_results=5)
         report = outcome.report
         assert report.covered == report.n_candidates
         assert report.evaluated >= 5
-        assert not report.degraded
 
 
 # --------------------------------------------------------------------------
-# Hung worker: timeout fires, pool is retried, then degraded
-# --------------------------------------------------------------------------
-
-
-class TestHungWorker:
-    def test_timeout_degrades_and_completes(self, template):
-        outcome = run_sweep(
-            template, 64, mappings=list(FAKE_SPECS), prune=False,
-            workers=2, timeout=1.0, retries=1, backoff_s=0.01,
-            evaluate=_eval_hang_in_worker)
-        assert outcome.report.degraded
-        assert "consecutive" in outcome.report.degraded_reason
-        assert outcome.report.retried == 1
-        # degradation completed the sweep serially instead of hanging
-        assert len(outcome.results) == len(FAKE_SPECS)
-        times = [r.batch_time_s for r in outcome.results]
-        assert times == sorted(times)
-        assert not outcome.partial
-
-
-# --------------------------------------------------------------------------
-# Crashing worker function: retry with backoff, then degrade
+# Crashing evaluation function: a worker_error skip, or WorkerError
 # --------------------------------------------------------------------------
 
 
 class TestWorkerCrash:
-    def test_non_repro_error_retries_then_degrades(self, template):
+    def test_non_repro_error_becomes_worker_error_skip(self, template):
         outcome = run_sweep(
             template, 64, mappings=list(FAKE_SPECS), prune=False,
-            workers=2, retries=2, backoff_s=0.01, evaluate=_eval_raise)
+            evaluate=_eval_raise)
         report = outcome.report
-        assert report.retried == 2
-        assert report.degraded
-        # serial evaluation still fails -> journaled worker_error skips
         assert report.worker_errors == len(FAKE_SPECS)
         assert report.skipped[SKIP_WORKER_ERROR] == len(FAKE_SPECS)
         assert outcome.results == []
@@ -166,8 +127,7 @@ class TestWorkerCrash:
         journal = tmp_path / "journal.jsonl"
         with pytest.raises(WorkerError) as excinfo:
             run_sweep(template, 64, mappings=list(FAKE_SPECS),
-                      prune=False, retries=0, backoff_s=0.0,
-                      journal_path=journal, strict=True,
+                      prune=False, journal_path=journal, strict=True,
                       evaluate=_eval_raise)
         assert excinfo.value.journal_path == str(journal)
 
@@ -308,8 +268,11 @@ class TestResume:
 
     def test_resume_journal_from_a_removed_path(self, template,
                                                 tmp_path):
-        """Journals written while ``"collapsed"`` was an evaluation path
-        still resume: the path is provenance, not identity."""
+        """Journals written by older versions still resume: one whose
+        header names the removed ``"collapsed"`` evaluation path (the
+        path is provenance, not identity), and whose metrics record
+        carries the removed worker pool's ``retried`` counter (dropped;
+        the other counters keep accumulating)."""
         journal = tmp_path / "sweep.jsonl"
         uninterrupted = run_sweep(template, 64, max_results=5,
                                   journal_path=journal)
@@ -319,7 +282,14 @@ class TestResume:
         candidates = [line for line in lines[1:]
                       if json.loads(line)["kind"] == "candidate"]
         kept = candidates[:-3]
-        journal.write_text("\n".join([json.dumps(header)] + kept) + "\n")
+        metrics = {"kind": "metrics",
+                   "counters": {"runs": 1, "evaluated": 0, "skipped": 0,
+                                "retried": 2, "worker_errors": 1,
+                                "interrupts": 1},
+                   "skipped": {}}
+        journal.write_text("\n".join(
+            [json.dumps(header)] + kept
+            + [json.dumps(metrics, sort_keys=True)]) + "\n")
 
         resumed = run_sweep(template, 64, max_results=5,
                             journal_path=journal, resume=True)
@@ -328,6 +298,11 @@ class TestResume:
             json.loads(line)["status"] == "evaluated" for line in kept)
         assert [(r.label, r.batch_time_s) for r in resumed.results] \
             == [(r.label, r.batch_time_s) for r in uninterrupted.results]
+        counters = resumed.cumulative["counters"]
+        assert "retried" not in counters
+        assert counters["runs"] == 2
+        assert counters["worker_errors"] == 1
+        assert counters["interrupts"] == 1
 
     def test_journal_records_every_fate(self, template, tmp_path):
         journal = tmp_path / "sweep.jsonl"
@@ -342,6 +317,41 @@ class TestResume:
         for record in done.values():
             if record["status"] == "skipped":
                 assert record["category"]
+
+
+class TestParameterCountMemo:
+    """The memory screen asks for the model's parameter count once per
+    candidate; the count is memoized per model and changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def megatron_1t(self):
+        system = megatron_a100_cluster(128)
+        return AMPeD.for_mapping(MODELS["megatron-1t"], system,
+                                 dp=system.n_accelerators,
+                                 efficiency=CASE_STUDY_EFFICIENCY)
+
+    @staticmethod
+    def _digest(outcome):
+        return ([(r.label, r.batch_time_s, r.breakdown.as_dict())
+                 for r in outcome.results], outcome.report.as_dict())
+
+    def test_counted_once_per_model(self, megatron_1t, monkeypatch):
+        params.total_parameters.cache_clear()
+        cached = run_sweep(megatron_1t, 2048, max_results=10,
+                           enforce_memory=True)
+        info = params.total_parameters.cache_info()
+        assert cached.report.n_candidates == 280
+        assert info.misses == 1
+        assert info.hits >= cached.report.evaluated > 0
+
+        monkeypatch.setattr("repro.memory.footprint.total_parameters",
+                            params.total_parameters.__wrapped__)
+        uncached = run_sweep(megatron_1t, 2048, max_results=10,
+                             enforce_memory=True)
+        assert params.total_parameters.cache_info() == info
+        assert self._digest(cached) == self._digest(uncached)
+        assert cached.report.skipped == uncached.report.skipped
+        assert cached.report.skipped["memory_capacity"] > 0
 
 
 class TestJournalKeys:
@@ -458,13 +468,11 @@ class TestJournalValidation:
 class TestCliFlags:
     def test_parser_accepts_resilience_flags(self):
         from repro.cli import build_parser
-        args = build_parser().parse_args(
-            ["sweep", "--timeout", "5", "--retries", "3",
-             "--journal", "j.jsonl"])
-        assert args.timeout == 5.0
-        assert args.retries == 3
+        args = build_parser().parse_args(["sweep", "--journal", "j.jsonl"])
         assert args.journal == "j.jsonl"
         assert args.resume is None
+        args = build_parser().parse_args(["sweep", "--resume", "j.jsonl"])
+        assert args.resume == "j.jsonl"
 
     def test_cli_sweep_writes_and_resumes_journal(self, tmp_path,
                                                   capsys):
@@ -516,151 +524,3 @@ class TestCliFlags:
                      "--batch", "512", "--resume", str(journal)])
         assert code == 2
         assert "different sweep" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------
-# Full-jitter retry backoff
-# --------------------------------------------------------------------------
-
-
-class TestRetryJitter:
-    def test_backoff_is_uniform_draw_under_the_cap(self, monkeypatch):
-        import random as random_mod
-
-        from repro.obs.metrics import get_metrics
-        from repro.search.resilience import _PoolSupervisor
-
-        sleeps = []
-        monkeypatch.setattr("repro.search.resilience.time.sleep",
-                            sleeps.append)
-        seed = 20230423
-        supervisor = _PoolSupervisor(
-            2, _eval_ok, timeout=None, retries=5, backoff_s=0.25,
-            rng=random_mod.Random(seed))
-        before = get_metrics().histogram(
-            "sweep.retry_sleep_seconds").count
-        for _ in range(3):
-            supervisor._note_failure(RuntimeError("injected"))
-        oracle = random_mod.Random(seed)
-        expected = [oracle.uniform(0.0, cap)
-                    for cap in (0.25, 0.5, 1.0)]
-        assert [s for s in sleeps if s > 0] \
-            == [e for e in expected if e > 0]
-        for sleep, cap in zip(expected, (0.25, 0.5, 1.0)):
-            assert 0.0 <= sleep <= cap
-        assert get_metrics().histogram(
-            "sweep.retry_sleep_seconds").count == before + 3
-
-    def test_zero_backoff_never_sleeps(self, monkeypatch):
-        from repro.search.resilience import _PoolSupervisor
-
-        sleeps = []
-        monkeypatch.setattr("repro.search.resilience.time.sleep",
-                            sleeps.append)
-        supervisor = _PoolSupervisor(2, _eval_ok, timeout=None,
-                                     retries=3, backoff_s=0.0)
-        supervisor._note_failure(RuntimeError("injected"))
-        assert sleeps == []
-
-    def test_retry_span_carries_the_chosen_sleep(self, monkeypatch):
-        import random as random_mod
-
-        from repro.obs.trace import get_tracer
-        from repro.search.resilience import _PoolSupervisor
-
-        monkeypatch.setattr("repro.search.resilience.time.sleep",
-                            lambda _s: None)
-        tracer = get_tracer()
-        tracer.enable(reset=True)
-        try:
-            supervisor = _PoolSupervisor(
-                2, _eval_ok, timeout=None, retries=3, backoff_s=0.125,
-                rng=random_mod.Random(7))
-            supervisor._note_failure(RuntimeError("injected"))
-            retry_spans = [record for record in tracer.records()
-                           if record.name == "dse.retry"]
-            assert len(retry_spans) == 1
-            attrs = retry_spans[0].attrs
-            assert attrs["attempt"] == 1
-            assert attrs["cap_s"] == 0.125
-            assert 0.0 <= attrs["sleep_s"] <= attrs["cap_s"]
-        finally:
-            tracer.disable()
-            tracer.reset()
-
-
-# --------------------------------------------------------------------------
-# Vectorized sweeps run in process, whatever ``workers`` says
-# --------------------------------------------------------------------------
-
-
-class TestVectorizedPool:
-    def test_pool_matches_serial_vectorized(self, template, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setattr(
-            "repro.search.resilience.DEFAULT_CHUNK_CANDIDATES", 4)
-        serial = run_sweep(template, 64, max_results=5,
-                           evaluation_path="vectorized")
-        pooled = run_sweep(template, 64, max_results=5, workers=2,
-                           evaluation_path="vectorized")
-        assert [(r.label, r.batch_time_s) for r in pooled.results] \
-            == [(r.label, r.batch_time_s) for r in serial.results]
-        assert pooled.report.evaluated == serial.report.evaluated
-        assert pooled.report.skipped == serial.report.skipped
-        assert not pooled.report.degraded
-        assert pooled.report.retried == 0
-
-    def test_vectorized_route_never_builds_a_pool(self, template,
-                                                  monkeypatch):
-        pytest.importorskip("numpy")
-        import concurrent.futures
-
-        serial = run_sweep(template, 64, max_results=5)
-        attempts = []
-
-        def no_pool(*args, **kwargs):
-            attempts.append(kwargs)
-            raise AssertionError("the vectorized route built a pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            no_pool)
-        pooled = run_sweep(template, 64, max_results=5, workers=2)
-        assert attempts == []
-        assert [(r.label, r.batch_time_s, r.breakdown.as_dict())
-                for r in pooled.results] \
-            == [(r.label, r.batch_time_s, r.breakdown.as_dict())
-                for r in serial.results]
-        assert pooled.report.evaluated == serial.report.evaluated
-        assert pooled.report.skipped == serial.report.skipped
-        assert not pooled.report.degraded
-        assert pooled.report.retried == 0
-
-
-# --------------------------------------------------------------------------
-# Supervision settings are validated before any work starts
-# --------------------------------------------------------------------------
-
-
-class TestSupervisionValidation:
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"timeout": -5.0}, "timeout must be a finite number"),
-        ({"timeout": float("nan")}, "timeout must be a finite number"),
-        ({"timeout": float("inf")}, "timeout must be a finite number"),
-        ({"timeout": 0.0}, "timeout must be a finite number"),
-        ({"retries": -1}, "retries must be >= 0"),
-        ({"backoff_s": -0.5}, "backoff_s must be a finite number"),
-        ({"backoff_s": float("nan")}, "backoff_s must be a finite number"),
-        ({"workers": -2}, "workers must be >= 0"),
-    ])
-    def test_rejects_invalid_settings(self, template, kwargs, message):
-        # enforce_memory keeps the sweep on the pooled scalar route,
-        # where a bad timeout used to fail every batch at once.
-        settings = {"workers": 2, **kwargs}
-        with pytest.raises(ConfigurationError, match=message):
-            run_sweep(template, 64, enforce_memory=True, max_results=3,
-                      **settings)
-
-    def test_accepts_boundary_settings(self, template):
-        outcome = run_sweep(template, 64, max_results=3, workers=0,
-                            timeout=30.0, retries=0, backoff_s=0.0)
-        assert outcome.results

@@ -34,7 +34,6 @@ from repro.search.compiler import (
     clear_compiled_cache,
     compile_sweep,
     install_compiled,
-    warm_worker,
 )
 from repro.search.dse import evaluate_candidate, explore
 from repro.search.vectorized import (
@@ -257,7 +256,7 @@ class TestOptionalNumpyContract:
 
 class TestShipping:
     """Bound batches and their compiled tables survive pickling, and
-    tables shipped to a pool worker back the array backend there."""
+    installed copies of shipped tables back the array backend."""
 
     def test_bound_batch_round_trips(self, compiled, mappings):
         batch = BoundBatch(compiled, mappings, tune_microbatches=True)
@@ -269,25 +268,17 @@ class TestShipping:
         np.testing.assert_array_equal(clone_times, times)
         np.testing.assert_array_equal(clone_feasible, feasible)
 
-    def test_warm_worker_shipped_tables_back_the_backend(
-            self, template, mappings):
-        parent = compile_sweep(template, GLOBAL_BATCH)
-        expected = VectorizedSweep(parent).bind(
-            mappings, tune_microbatches=True).lane_times()
-        shipped = pickle.loads(pickle.dumps(parent))
-        clear_compiled_cache()
-        warm_worker(template, GLOBAL_BATCH, compiled=shipped)
-        installed = compile_sweep(template, GLOBAL_BATCH)
-        assert installed is shipped
-        actual = VectorizedSweep(installed).bind(
-            mappings, tune_microbatches=True).lane_times()
-        np.testing.assert_array_equal(actual, expected)
-
     def test_install_compiled_path(self, template, compiled, mappings):
+        expected = VectorizedSweep(compiled).bind(
+            mappings, tune_microbatches=True).lane_times()
         clone = pickle.loads(pickle.dumps(compiled))
+        clear_compiled_cache()
         install_compiled(clone)
-        batch = VectorizedSweep(clone).bind(mappings)
+        assert compile_sweep(template, GLOBAL_BATCH) is clone
+        batch = VectorizedSweep(clone).bind(mappings,
+                                            tune_microbatches=True)
         assert batch.n_specs == len(mappings)
+        np.testing.assert_array_equal(batch.lane_times(), expected)
 
 
 class TestObservability:
