@@ -74,8 +74,8 @@ class TestCommands:
         assert "batch time" in out
 
     @pytest.mark.parametrize("flag,value", [
-        ("--eval-mode", "compiled"), ("--jobs", "2"), ("--timeout", "2"),
-        ("--retries", "2")])
+        ("--eval-mode", "compiled"), ("--jobs", "-2"), ("--timeout", "-5"),
+        ("--timeout", "nan"), ("--timeout", "0"), ("--retries", "-1")])
     def test_sweep_rejects_removed_flags(self, flag, value, capsys):
         # Sweeps have one evaluator route and run in one process; these
         # flags are gone and argparse rejects them like any unknown one.

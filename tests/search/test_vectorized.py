@@ -268,17 +268,25 @@ class TestShipping:
         np.testing.assert_array_equal(clone_times, times)
         np.testing.assert_array_equal(clone_feasible, feasible)
 
-    def test_install_compiled_path(self, template, compiled, mappings):
-        expected = VectorizedSweep(compiled).bind(
+    def test_installed_shipped_tables_back_the_backend(
+            self, template, mappings):
+        parent = compile_sweep(template, GLOBAL_BATCH)
+        expected = VectorizedSweep(parent).bind(
             mappings, tune_microbatches=True).lane_times()
-        clone = pickle.loads(pickle.dumps(compiled))
+        shipped = pickle.loads(pickle.dumps(parent))
         clear_compiled_cache()
+        install_compiled(shipped)
+        installed = compile_sweep(template, GLOBAL_BATCH)
+        assert installed is shipped
+        actual = VectorizedSweep(installed).bind(
+            mappings, tune_microbatches=True).lane_times()
+        np.testing.assert_array_equal(actual, expected)
+
+    def test_install_compiled_path(self, template, compiled, mappings):
+        clone = pickle.loads(pickle.dumps(compiled))
         install_compiled(clone)
-        assert compile_sweep(template, GLOBAL_BATCH) is clone
-        batch = VectorizedSweep(clone).bind(mappings,
-                                            tune_microbatches=True)
+        batch = VectorizedSweep(clone).bind(mappings)
         assert batch.n_specs == len(mappings)
-        np.testing.assert_array_equal(batch.lane_times(), expected)
 
 
 class TestObservability:
