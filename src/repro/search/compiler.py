@@ -71,6 +71,7 @@ from repro.core.compute import (
 )
 from repro.core.operations import build_operations
 from repro.errors import ConfigurationError, MappingError
+from repro.memory.constraints import fits_in_memory
 from repro.parallelism.microbatch import microbatch_size, replica_batch_size
 from repro.parallelism.spec import ParallelismSpec
 from repro.pipeline.schedule import bubble_prefactor
@@ -115,6 +116,7 @@ class CompiledSweep:
         self.inter_topology = template.inter_topology
         self.moe_topology = template.moe_topology
         self.accelerator = template.system.accelerator
+        self.zero = template.zero
         self.backward_compute_multiplier = \
             template.backward_compute_multiplier
         self.backward_comm_ratio = template.backward_comm_ratio
@@ -156,6 +158,9 @@ class CompiledSweep:
         self._pp: Dict[tuple, float] = {}
         self._moe: Dict[tuple, float] = {}
         self._bubble_prefactor: Dict[tuple, float] = {}
+        #: The memory screen, keyed ``(tp, pp, dp, N_ub)``; outside the
+        #: hit-rate accounting, since it is no term of Eq. 1.
+        self._fits: Dict[tuple, bool] = {}
 
         # Hit-rate accounting (cache.compiled.* gauges): lookups are
         # counted per combine in one add; misses at the fill sites.
@@ -487,6 +492,21 @@ class CompiledSweep:
         """Public face of the efficiency table: ``eff(ub)`` for the
         candidate, raising :class:`MappingError` for ub < 1."""
         return self._efficiency_for(spec)
+
+    def fits_for(self, spec: ParallelismSpec, n_ub: int) -> bool:
+        """Whether ``spec`` at ``n_ub`` microbatches passes the memory
+        screen: False when the microbatch falls below one sequence
+        (the screen never admits those), else
+        :func:`~repro.memory.constraints.fits_in_memory`."""
+        key = (spec.tp, spec.pp, spec.dp, n_ub)
+        fits = self._fits.get(key)
+        if fits is None:
+            microbatch = self.global_batch / (spec.dp * n_ub)
+            fits = microbatch >= 1 and fits_in_memory(
+                self.model, spec.with_microbatches(n_ub), microbatch,
+                self.precision, self.accelerator, self.zero)
+            self._fits[key] = fits
+        return fits
 
     def bubble_prefactor_for(self, pp: int, n_ub: int,
                              overlap_ratio: float) -> float:

@@ -26,18 +26,18 @@ Two performance levers keep large spaces interactive (see
   to the unpruned one, and pruning is a no-op when ``max_results`` is
   ``None``.
 
-Every sweep runs in one process: a worker pool lost to in-process
-evaluation at every size measured (``docs/performance.md``).
+:func:`explore` is :func:`repro.search.resilience.run_sweep` without
+a journal, so both run one chunk loop and rank alike; the memory
+screen (``enforce_memory``) is one more lane mask of the array
+program.  Every sweep runs in one process: a worker pool lost to
+in-process evaluation at every size measured (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import time
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.breakdown import TrainingTimeBreakdown
 from repro.core.compute import (
@@ -54,19 +54,11 @@ from repro.errors import (
     require_finite_fields,
 )
 from repro.memory.constraints import fits_in_memory
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer, span
-from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search.compiler import CompiledSweep, compile_sweep
+from repro.search.compiler import compile_sweep
 from repro.search.tuning import microbatch_candidates, optimize_microbatches
-from repro.search.vectorized import (
-    DEFAULT_CHUNK_CANDIDATES,
-    evaluate_chunk,
-    require_numpy,
-    resolve_evaluation_path,
-)
 
 
 #: Skip-category vocabulary shared by the explorer, the resilient sweep
@@ -84,6 +76,10 @@ SKIP_CATEGORIES = (
     SKIP_PRUNED,
     SKIP_WORKER_ERROR,
 )
+
+#: Detail of the ``memory_capacity`` skip of a tuned candidate none of
+#: whose microbatch counts passes the memory screen.
+NO_MICROBATCH_FITS = "no microbatch count fits in memory"
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,14 @@ def explore(amped: AMPeD, global_batch: int,
             evaluation_path: str = "compiled") -> List[ExplorationResult]:
     """Evaluate every mapping and return results sorted fastest-first.
 
+    The ranking of :func:`repro.search.resilience.run_sweep` without a
+    journal: a mapping that cannot be evaluated (one that cannot tile
+    the system, runs out of memory, or comes out non-finite) is
+    skipped, a candidate that fails with a non-``ReproError`` raises
+    :class:`~repro.errors.WorkerError`, and a SIGINT stops the sweep
+    at the next candidate with :class:`~repro.errors.SweepInterrupted`
+    carrying the partial ranking.
+
     Parameters
     ----------
     amped:
@@ -160,62 +164,28 @@ def explore(amped: AMPeD, global_batch: int,
         How each candidate evaluates Eq. 1 — overrides the template's
         own setting.  ``"compiled"`` (default) reads the sweep
         compiler's term tables: whenever NumPy imports it runs as the
-        ``"vectorized"`` array program over the whole candidate batch,
+        ``"vectorized"`` array program over each candidate chunk,
         otherwise as the pure-python scalar walk (see
         :func:`repro.search.vectorized.resolve_evaluation_path`).
-        ``enforce_memory=True`` keeps the scalar walk, since the memory
-        screen needs per-candidate scenarios.  ``"per_layer"`` keeps
-        the uncompiled reference walk.  All paths agree within
-        floating-point associativity (compiled and vectorized bit for
-        bit) and produce identical skip categories and rankings.
+        ``"per_layer"`` keeps the uncompiled reference walk.  All paths
+        agree within floating-point associativity (compiled and
+        vectorized bit for bit) and produce identical skip categories
+        and rankings.
     """
-    validate_max_results(max_results)
-    if mappings is None:
-        mappings = enumerate_mappings(amped.system, amped.model)
-    if not enforce_memory:
-        evaluation_path = resolve_evaluation_path(evaluation_path,
-                                                  len(mappings))
-    elif evaluation_path == "vectorized":
-        # The memory screen needs per-candidate scenario objects the
-        # array path never builds; validate the request, then let the
-        # scalar compiled-equivalent route below handle it.
-        require_numpy()
-    if evaluation_path != amped.evaluation_path:
-        amped = replace(amped, evaluation_path=evaluation_path)
-    # One compiled-sweep instance backs candidate evaluation (compiled
-    # and vectorized paths) and the pruner's lower bound (every path,
-    # so skip counters are path-independent).
-    compiled = None
-    if prune or amped.evaluation_path != "per_layer":
-        compiled = compile_sweep(amped, global_batch)
-    evaluate = partial(_evaluate_spec, amped, global_batch=global_batch,
-                       tune_microbatches=tune_microbatches,
-                       enforce_memory=enforce_memory)
-    pruner = None
-    if prune:
-        pruner = _BoundPruner(amped, tune_microbatches, max_results,
-                              compiled)
+    # resilience imports this module; import it when called.
+    from repro.search.resilience import run_sweep
+
     with span("dse.explore", category="search") as live:
-        if (amped.evaluation_path == "vectorized"
-                and not enforce_memory):
-            # Array-program route: pruning is exact (the pruned ranking
-            # equals the unpruned one by construction), so evaluating
-            # every candidate vectorized and truncating afterwards
-            # returns the identical result list.
-            results = _explore_vectorized(amped, compiled, global_batch,
-                                          mappings, tune_microbatches,
-                                          max_results)
-        else:
-            evaluated = _explore_serial(evaluate, mappings, pruner)
-            results = [result for result in evaluated
-                       if result is not None]
-            results.sort(key=lambda result: result.batch_time_s)
-            if max_results is not None:
-                results = results[:max_results]
-        live.set_attrs(n_mappings=len(mappings),
-                       n_results=len(results),
+        outcome = run_sweep(amped, global_batch, mappings=mappings,
+                            tune_microbatches=tune_microbatches,
+                            enforce_memory=enforce_memory,
+                            max_results=max_results, prune=prune,
+                            strict=True, raise_on_interrupt=True,
+                            evaluation_path=evaluation_path)
+        live.set_attrs(n_mappings=outcome.report.n_candidates,
+                       n_results=len(outcome.results),
                        global_batch=global_batch)
-        return results
+        return outcome.results
 
 
 def validate_max_results(max_results: Optional[int]) -> None:
@@ -263,7 +233,7 @@ def evaluate_candidate(template: AMPeD, spec: ParallelismSpec,
                 if not candidates:
                     return CandidateOutcome(
                         spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                        detail="no microbatch count fits in memory")
+                        detail=NO_MICROBATCH_FITS)
                 # Every candidate already passed fits_in_memory, and the
                 # tuned spec is one of them — no re-check needed.
                 needs_memory_check = False
@@ -334,7 +304,7 @@ def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
                 if not candidates:
                     return CandidateOutcome(
                         spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                        detail="no microbatch count fits in memory")
+                        detail=NO_MICROBATCH_FITS)
                 needs_memory_check = False
             tuned, _ = compiled.best_microbatch(spec, candidates)
         microbatch = microbatch_size(global_batch, tuned)
@@ -366,72 +336,6 @@ def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
         microbatch_size=microbatch,
         microbatch_efficiency=compiled.efficiency(microbatch),
     ))
-
-
-def _evaluate_spec(template: AMPeD, spec: ParallelismSpec,
-                   global_batch: int, tune_microbatches: bool,
-                   enforce_memory: bool) -> Optional[ExplorationResult]:
-    """Fully evaluate one mapping; ``None`` when it is infeasible."""
-    return evaluate_candidate(template, spec, global_batch,
-                              tune_microbatches, enforce_memory).result
-
-
-def _explore_serial(evaluate: Callable, mappings: List[ParallelismSpec],
-                    pruner: Optional["_BoundPruner"]) -> List:
-    out = []
-    for spec in mappings:
-        if pruner is not None and pruner.should_skip(spec):
-            continue
-        result = evaluate(spec)
-        if pruner is not None:
-            pruner.record(result)
-        out.append(result)
-    return out
-
-
-def _explore_vectorized(template: AMPeD,
-                        compiled: CompiledSweep,
-                        global_batch: int,
-                        mappings: List[ParallelismSpec],
-                        tune_microbatches: bool,
-                        max_results: Optional[int]
-                        ) -> List[ExplorationResult]:
-    """:func:`explore`'s array-program route.
-
-    Candidates are evaluated chunk-wise through
-    :func:`repro.search.vectorized.evaluate_chunk`; candidates the
-    array path cannot decide exactly (infeasible / non-finite /
-    invalid) re-run through the scalar route, so results, errors and
-    their ordering match the serial compiled path exactly.  Pruning is
-    unnecessary: its only effect is skipping evaluations without
-    changing the truncated ranking, and the array evaluation already
-    covers everything.
-    """
-    results: List[ExplorationResult] = []
-    chunk_seconds = get_metrics().histogram("sweep.chunk_seconds")
-    for start in range(0, len(mappings), DEFAULT_CHUNK_CANDIDATES):
-        chunk = mappings[start:start + DEFAULT_CHUNK_CANDIDATES]
-        chunk_started = time.perf_counter()
-        with span("dse.vectorized_eval", category="search",
-                  attrs={"offset": start, "n_candidates": len(chunk),
-                         "tune_microbatches": tune_microbatches}) as live:
-            _, outcomes = evaluate_chunk(template, compiled, chunk,
-                                         global_batch, tune_microbatches)
-            fallbacks = 0
-            for spec, outcome in zip(chunk, outcomes):
-                if outcome is None:
-                    fallbacks += 1
-                    outcome = evaluate_candidate(template, spec,
-                                                 global_batch,
-                                                 tune_microbatches)
-                if outcome.result is not None:
-                    results.append(outcome.result)
-            live.set_attrs(scalar_fallbacks=fallbacks)
-        chunk_seconds.observe(time.perf_counter() - chunk_started)
-    results.sort(key=lambda result: result.batch_time_s)
-    if max_results is not None:
-        results = results[:max_results]
-    return results
 
 
 def compute_lower_bound(amped: AMPeD, global_batch: int,
@@ -478,77 +382,6 @@ def compute_lower_bound(amped: AMPeD, global_batch: int,
                                  best_eff,
                                  amped.optimizer_macs_per_parameter))
     return total / spec.world_size
-
-
-class _BoundPruner:
-    """Branch-and-bound state shared across one :func:`explore` call.
-
-    Tracks the ``keep`` smallest batch times seen so far; a mapping is
-    skipped when its lower bound strictly exceeds the incumbent
-    ``keep``-th best, which proves it cannot appear in the final
-    truncated ranking.  Without a ``keep`` (``max_results is None``)
-    the threshold stays infinite and nothing is pruned.
-
-    The bound is :meth:`~repro.search.compiler.CompiledSweep.lower_bound`
-    over ``compiled`` — compute at the best reachable efficiency *plus*
-    the mapping's exact communication terms, strictly tighter than the
-    compute-only :func:`compute_lower_bound` whenever the mapping
-    communicates at all, and used for every evaluation path so skip
-    counters stay path-independent.
-    """
-
-    def __init__(self, template: AMPeD, tune_microbatches: bool,
-                 keep: Optional[int], compiled: CompiledSweep) -> None:
-        self.template = template
-        self.tune_microbatches = tune_microbatches
-        self.keep = keep
-        self.compiled = compiled
-        self._best_times: List[float] = []
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The incumbent ``keep``-th best time, or ``None`` while the
-        incumbent list is not full yet (distinct from an *infinite*
-        bound, which would mean a provably infeasible candidate)."""
-        if self.keep is None or len(self._best_times) < self.keep:
-            return None
-        return self._best_times[self.keep - 1]
-
-    def skip_category(self, spec: ParallelismSpec) -> Optional[str]:
-        """``SKIP_PRUNED``/``SKIP_MAPPING_INFEASIBLE`` when the mapping
-        can be discarded without a full evaluation, else ``None``.
-
-        Without an incumbent threshold no bound is computed (same work
-        profile as plain exploration); infeasibility then surfaces
-        through :func:`evaluate_candidate` with the same category.
-        """
-        threshold = self.threshold
-        if threshold is None:
-            return None
-        template = self.template
-        try:
-            if template.validate:
-                # replace(template, parallelism=spec) re-validates on
-                # the generic route; keep the same category for
-                # mappings that cannot tile the system.
-                spec.validate_against(template.system)
-                spec.validate_against_model(template.model.n_layers,
-                                            template.model.n_heads)
-            bound = self.compiled.lower_bound(spec,
-                                              self.tune_microbatches)
-        except MappingError:
-            return SKIP_MAPPING_INFEASIBLE
-        return SKIP_PRUNED if bound > threshold else None
-
-    def should_skip(self, spec: ParallelismSpec) -> bool:
-        return self.skip_category(spec) is not None
-
-    def record(self, result: Optional[ExplorationResult]) -> None:
-        if result is None:
-            return
-        bisect.insort(self._best_times, result.batch_time_s)
-        if self.keep is not None:
-            del self._best_times[self.keep:]
 
 
 def _memory_feasible_candidates(candidate: AMPeD,

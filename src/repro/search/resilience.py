@@ -25,16 +25,20 @@ themselves:
   ``worker_error`` skip and the sweep goes on (``strict=True`` raises
   :class:`~repro.errors.WorkerError` instead).
 
-Every sweep runs in this process: as one NumPy array program per
-candidate chunk when NumPy imports, otherwise (and for a custom
-``evaluate`` or ``enforce_memory=True``) as the pure-python walk of the
-same term tables.  Coverage accounting is surfaced as a
-:class:`~repro.reporting.sweep.SweepReport`; ``docs/robustness.md``
-documents the journal schema.
+Every sweep runs in this process through one chunk loop, which
+:func:`~repro.search.dse.explore` shares.  Each chunk gets its pruner
+bounds, and with NumPy its candidate outcomes as one array program
+(the memory screen is a lane mask there), from
+:func:`~repro.search.vectorized.evaluate_chunk`; whatever the arrays
+leave undecided, and every candidate of a ``per_layer``, custom
+``evaluate`` or NumPy-less sweep, is evaluated one by one.  Coverage
+accounting is surfaced as a :class:`~repro.reporting.sweep.SweepReport`;
+``docs/robustness.md`` documents the journal schema.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -69,7 +73,6 @@ from repro.search.dse import (
     SKIP_WORKER_ERROR,
     CandidateOutcome,
     ExplorationResult,
-    _BoundPruner,
     evaluate_candidate,
     validate_max_results,
 )
@@ -333,6 +336,38 @@ def _sigint_trap():
 # ---------------------------------------------------------------------------
 
 
+class _BoundPruner:
+    """Branch-and-bound incumbents shared across one :func:`run_sweep`.
+
+    Tracks the ``keep`` smallest batch times seen so far; a mapping is
+    skipped when its lower bound strictly exceeds the incumbent
+    ``keep``-th best, which proves it cannot appear in the final
+    truncated ranking.  The bound is
+    :meth:`~repro.search.compiler.CompiledSweep.lower_bound` (batched
+    as :meth:`~repro.search.vectorized.BoundBatch.lower_bounds`) —
+    compute at the best reachable efficiency *plus* the mapping's exact
+    communication terms, used for every evaluation path so skip
+    counters stay path-independent.
+    """
+
+    def __init__(self, keep: int) -> None:
+        self.keep = keep
+        self._best_times: List[float] = []
+
+    @property
+    def threshold(self) -> Optional[float]:
+        """The incumbent ``keep``-th best time, or ``None`` while the
+        incumbent list is not full yet (distinct from an *infinite*
+        bound, which would mean a provably infeasible candidate)."""
+        if len(self._best_times) < self.keep:
+            return None
+        return self._best_times[self.keep - 1]
+
+    def record(self, result: ExplorationResult) -> None:
+        bisect.insort(self._best_times, result.batch_time_s)
+        del self._best_times[self.keep:]
+
+
 @dataclass
 class SweepOutcome:
     """Ranked results plus the coverage ledger of one resilient sweep."""
@@ -400,8 +435,7 @@ def run_sweep(template: AMPeD, global_batch: int,
         see :func:`repro.search.dse.explore`) — overrides the
         template's own setting.  ``"compiled"`` runs as
         ``"vectorized"`` whenever NumPy is importable, unless a custom
-        ``evaluate`` or ``enforce_memory`` forces per-candidate
-        evaluation on the scalar walk.  Recorded in the journal header for
+        ``evaluate`` takes every candidate.  Recorded in the journal header for
         provenance but *not* part of the resume identity: every path
         produces the same ranking and skip categories, so a journal
         written under one path resumes deterministically under another.
@@ -410,11 +444,10 @@ def run_sweep(template: AMPeD, global_batch: int,
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None
-    if custom_evaluate or enforce_memory:
-        # Custom evaluators and memory enforcement are inherently
-        # per-candidate; the batch backend cannot replay them, so an
-        # explicit request still validates NumPy but the sweep stays
-        # on the scalar route.
+    if custom_evaluate:
+        # A custom evaluator replaces the array outcomes: an explicit
+        # request still validates NumPy, but every unpruned candidate
+        # goes through ``evaluate``.
         if evaluation_path == "vectorized":
             require_numpy()
     else:
@@ -453,9 +486,9 @@ def run_sweep(template: AMPeD, global_batch: int,
     compiled: Optional[CompiledSweep] = None
     if prune or template.evaluation_path != "per_layer":
         compiled = compile_sweep(template, global_batch)
-    pruner = (_BoundPruner(template, tune_microbatches, max_results,
-                           compiled)
-              if prune else None)
+    # Without a top-k there is no threshold to compare bounds against.
+    pruner = (_BoundPruner(max_results)
+              if prune and max_results is not None else None)
 
     # Replay the journal: finished candidates are restored, never
     # re-evaluated, and feed the pruner's incumbents so the resumed
@@ -533,11 +566,6 @@ def run_sweep(template: AMPeD, global_batch: int,
             metrics.histogram("sweep.candidate_seconds").observe(
                 time.perf_counter() - started)
 
-    # The vectorized path evaluates whole chunks as array programs; the
-    # scalar walk takes one candidate at a time.
-    use_vectorized = (template.evaluation_path == "vectorized"
-                      and not custom_evaluate and not enforce_memory)
-    chunk_size = DEFAULT_CHUNK_CANDIDATES if use_vectorized else 1
     interrupted = False
     cumulative: Optional[dict] = None
 
@@ -546,85 +574,56 @@ def run_sweep(template: AMPeD, global_batch: int,
                  attrs={"n_candidates": len(mappings),
                         "n_pending": len(pending)}):
         try:
-            position = 0
-            while position < len(pending):
+            for start in range(0, len(pending), DEFAULT_CHUNK_CANDIDATES):
                 if cancelled():
                     interrupted = True
                     break
-                chunk = pending[position:position + chunk_size]
-                if use_vectorized:
-                    chunk_started = time.perf_counter()
-                    with span("dse.vectorized_eval", category="search",
-                              attrs={"offset": position,
-                                     "n_candidates": len(chunk),
-                                     "tune_microbatches":
-                                         tune_microbatches}) as live:
-                        position += len(chunk)
-                        bounds, outcomes = evaluate_chunk(
-                            template, compiled, chunk, global_batch,
-                            tune_microbatches,
-                            need_bounds=pruner is not None)
-                        if bounds is not None:
-                            bounds = bounds.tolist()
-                        fallbacks = 0
-                        # Serial-order walk: the pruner threshold is
-                        # re-read per candidate because absorb()
-                        # tightens it, reproducing the serial path's
-                        # incumbent dynamics (and hence its exact
-                        # skip categories) on precomputed arrays.
-                        for index, spec in enumerate(chunk):
-                            if cancelled():
-                                interrupted = True
-                                break
-                            threshold = (pruner.threshold
-                                         if pruner is not None else None)
-                            if threshold is not None:
-                                bound = bounds[index]
-                                if math.isnan(bound):
-                                    absorb(CandidateOutcome(
-                                        spec=spec,
-                                        skip_category=(
-                                            SKIP_MAPPING_INFEASIBLE),
-                                        detail=("no feasible "
-                                                "microbatch count")))
-                                    continue
-                                if bound > threshold:
-                                    absorb(CandidateOutcome(
-                                        spec=spec,
-                                        skip_category=SKIP_PRUNED,
-                                        detail=("lower bound exceeds "
-                                                "the incumbent top-k")))
-                                    continue
-                            outcome = outcomes[index]
-                            if outcome is None:
-                                fallbacks += 1
-                                outcome = evaluate_one(spec)
-                            absorb(outcome)
-                        live.set_attrs(scalar_fallbacks=fallbacks)
-                    chunk_seconds.observe(
-                        time.perf_counter() - chunk_started)
-                    if interrupted:
-                        break
-                    continue
-                with span("sweep.chunk", category="search",
-                          attrs={"offset": position,
-                                 "size": len(chunk)}):
-                    position += len(chunk)
-                    for spec in chunk:
-                        category = (pruner.skip_category(spec)
-                                    if pruner is not None else None)
-                        if category is not None:
-                            detail = ("lower bound exceeds the "
-                                      "incumbent top-k"
-                                      if category == SKIP_PRUNED else
-                                      "no feasible microbatch count")
-                            absorb(CandidateOutcome(
-                                spec=spec, skip_category=category,
-                                detail=detail))
-                        else:
-                            absorb(evaluate_one(spec))
-                if cancelled():
-                    interrupted = True
+                chunk = pending[start:start + DEFAULT_CHUNK_CANDIDATES]
+                chunk_started = time.perf_counter()
+                with span("dse.vectorized_eval", category="search",
+                          attrs={"offset": start,
+                                 "n_candidates": len(chunk),
+                                 "tune_microbatches":
+                                     tune_microbatches}) as live:
+                    bounds, outcomes = evaluate_chunk(
+                        template, compiled, chunk, global_batch,
+                        tune_microbatches,
+                        need_bounds=pruner is not None,
+                        enforce_memory=enforce_memory)
+                    fallbacks = 0
+                    # Serial-order walk: the pruner threshold is re-read
+                    # per candidate because absorb() tightens it, so
+                    # the incumbent dynamics (and hence the exact skip
+                    # categories) are those of a one-by-one sweep.
+                    for index, spec in enumerate(chunk):
+                        if cancelled():
+                            interrupted = True
+                            break
+                        threshold = (pruner.threshold
+                                     if pruner is not None else None)
+                        if threshold is not None:
+                            bound = bounds[index]
+                            if math.isnan(bound):
+                                absorb(CandidateOutcome(
+                                    spec=spec,
+                                    skip_category=SKIP_MAPPING_INFEASIBLE,
+                                    detail="no feasible microbatch count"))
+                                continue
+                            if bound > threshold:
+                                absorb(CandidateOutcome(
+                                    spec=spec, skip_category=SKIP_PRUNED,
+                                    detail=("lower bound exceeds the "
+                                            "incumbent top-k")))
+                                continue
+                        outcome = None if custom_evaluate \
+                            else outcomes[index]
+                        if outcome is None:
+                            fallbacks += 1
+                            outcome = evaluate_one(spec)
+                        absorb(outcome)
+                    live.set_attrs(scalar_fallbacks=fallbacks)
+                chunk_seconds.observe(time.perf_counter() - chunk_started)
+                if interrupted:
                     break
         finally:
             if journal is not None:

@@ -31,16 +31,21 @@ segmented ``minimum.reduceat`` (first minimum wins, matching the scalar
 strictly-smaller tie-break).  The branch-and-bound pruner's lower bound
 is likewise one segmented ``maximum.reduceat`` over efficiencies plus a
 no-bubble evaluation — one array compare replaces per-candidate
-``lower_bound`` calls.
+``lower_bound`` calls.  A memory-enforced sweep adds one more lane
+mask: the compiled sweep's memory-screen table, one
+:func:`~repro.memory.constraints.fits_in_memory` call per distinct
+``(tp, pp, dp, N_ub)``, restricts the lanes ``best_microbatch`` picks
+from and leaves the lower bound alone.
 
 NumPy is an **optional** dependency.  With it installed,
 :func:`resolve_evaluation_path` routes every default ``"compiled"``
 sweep, whatever its size, to this backend: the array program is faster
 than the scalar walk even on sweeps of a few dozen candidates, and
-both read the same term tables.  ``explore`` and ``run_sweep`` run it
-in their own process, chunk by chunk through :func:`evaluate_chunk`.
-Without NumPy, sweeps run on the pure-python ``"compiled"`` path, and
-an explicit API request for ``evaluation_path="vectorized"`` raises a
+both read the same term tables.  ``run_sweep`` (and ``explore``, which
+calls it) runs it in this process, chunk by chunk through
+:func:`evaluate_chunk`.  Without NumPy, sweeps run on the pure-python
+``"compiled"`` path, and an explicit API request for
+``evaluation_path="vectorized"`` raises a
 :class:`~repro.errors.ConfigurationError`.  See
 ``docs/performance.md`` for the key-index layout and the full
 bit-exactness argument.
@@ -174,13 +179,17 @@ class BoundBatch:
     term, expanded over the ``N_ub`` lanes when tuning) and the batch
     fill (one accessor call per distinct key, landing in the compiled
     sweep's dict tables *and* in dense arrays).  Evaluation is then
-    pure gather+sum.  The object is picklable: it holds only arrays,
-    plain metadata and the (picklable) compiled sweep.
+    pure gather+sum.  With ``enforce_memory`` every lane is also
+    looked up in the compiled sweep's memory screen, which masks the
+    lanes :meth:`best_lanes` picks from.  The object is picklable: it
+    holds only arrays, plain metadata and the (picklable) compiled
+    sweep.
     """
 
     def __init__(self, compiled: CompiledSweep,
                  specs: Sequence[ParallelismSpec],
-                 tune_microbatches: bool = False) -> None:
+                 tune_microbatches: bool = False,
+                 enforce_memory: bool = False) -> None:
         require_numpy()
         started = time.perf_counter()
         np = _np
@@ -331,6 +340,15 @@ class BoundBatch:
         self._lane_eff_idx = np.asarray(lane_eff, dtype=np.intp)
         self._lane_bub_idx = np.asarray(lane_bub, dtype=np.intp)
         self._lane_nub = np.asarray(lane_nub, dtype=np.int64)
+
+        # -- memory screen: one fits_in_memory call per distinct
+        # (tp, pp, dp, N_ub), masking the lanes best_lanes picks from.
+        self._lane_fits = None
+        if enforce_memory:
+            specs = self.specs
+            self._lane_fits = np.asarray(
+                [compiled.fits_for(specs[row], n_ub) for row, n_ub
+                 in zip(self._lane_spec.tolist(), lane_nub)], dtype=bool)
 
         # -- batch fill: one accessor call per distinct key ----------------
         # Fills land in the compiled sweep's own dict tables, keeping
@@ -558,7 +576,8 @@ class BoundBatch:
         a strictly smaller time replaces the incumbent), and
         ``feasible`` is False when every lane is infeasible or
         non-finite — callers fall back to the scalar path there for the
-        exact error semantics.
+        exact error semantics.  A batch bound with ``enforce_memory``
+        picks only among lanes that pass the memory screen.
         """
         np = _np
         if not self.specs:
@@ -566,7 +585,10 @@ class BoundBatch:
             return empty, np.empty(0, dtype=np.intp), \
                 np.empty(0, dtype=bool)
         times = self.lane_times()
-        filled = np.where(np.isfinite(times), times, np.inf)
+        usable = np.isfinite(times)
+        if self._lane_fits is not None:
+            usable &= self._lane_fits
+        filled = np.where(usable, times, np.inf)
         best = np.minimum.reduceat(filled, self._offsets)
         hit = filled == np.repeat(best, self._counts)
         n_lanes = filled.shape[0]
@@ -575,6 +597,11 @@ class BoundBatch:
             np.where(hit, lane_ids, n_lanes), self._offsets)
         feasible = np.isfinite(best)
         return best, picks, feasible
+
+    def any_lane_fits(self):
+        """Per candidate: whether any of its lanes passes the memory
+        screen (requires a batch bound with ``enforce_memory``)."""
+        return _np.logical_or.reduceat(self._lane_fits, self._offsets)
 
     def lower_bounds(self):
         """Batched pruner bound: one value per candidate, NaN when no
@@ -659,25 +686,38 @@ def vectorize_sweep(template: "AMPeD",
 
 def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
                    specs: Sequence[ParallelismSpec], global_batch: int,
-                   tune_microbatches: bool, need_bounds: bool = False
-                   ) -> Tuple[Optional[object],
+                   tune_microbatches: bool, need_bounds: bool = False,
+                   enforce_memory: bool = False
+                   ) -> Tuple[Optional[List[float]],
                               List[Optional["CandidateOutcome"]]]:
-    """Vector-evaluate one candidate chunk into sweep outcomes.
+    """Evaluate one candidate chunk into pruner bounds and outcomes.
 
-    Validates, projects and batch-fills ``specs``, then evaluates them
-    as one array program.  Returns ``(bounds, outcomes)``: ``bounds`` is
-    the batched pruner bound per candidate as a NumPy array (NaN =
-    provably infeasible; ``None`` when not requested), and ``outcomes``
-    holds one :class:`~repro.search.dse.CandidateOutcome` per
-    candidate, with ``None`` marking candidates the array path cannot
-    decide exactly — invalid mappings, all-lanes-infeasible candidates,
-    non-finite results — which the caller re-evaluates through the
-    scalar route (it reproduces the exact error categories and detail
-    strings).
+    Validates ``specs``, then (with NumPy) projects and batch-fills
+    them and evaluates them as one array program.  Returns
+    ``(bounds, outcomes)``: ``bounds`` is the pruner bound per
+    candidate (NaN = provably infeasible; ``None`` when not requested),
+    and ``outcomes`` holds one
+    :class:`~repro.search.dse.CandidateOutcome` per candidate, with
+    ``None`` marking candidates the array path cannot decide exactly —
+    invalid mappings, all-lanes-infeasible candidates, non-finite
+    results — which the caller re-evaluates through the scalar route
+    (it reproduces the exact error categories and detail strings).
+    With ``enforce_memory`` the memory screen masks the lanes, and a
+    tuned candidate none of whose lanes fits is a ``memory_capacity``
+    skip.
+
+    Array outcomes need NumPy and a compiled template; otherwise every
+    outcome is ``None``, and bounds come from
+    :meth:`CompiledSweep.lower_bound` per candidate.
     """
     from repro.core.breakdown import TrainingTimeBreakdown
     from repro.errors import ReproError
-    from repro.search.dse import CandidateOutcome, ExplorationResult
+    from repro.search.dse import (
+        NO_MICROBATCH_FITS,
+        SKIP_MEMORY_CAPACITY,
+        CandidateOutcome,
+        ExplorationResult,
+    )
 
     n = len(specs)
     valid = list(range(n))
@@ -692,25 +732,44 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
                 continue  # scalar fallback raises/categorizes exactly
             valid.append(index)
     outcomes: List[Optional[CandidateOutcome]] = [None] * n
-    bounds = _np.full(n, math.nan) if need_bounds else None
-    if not valid:
+    bounds = [math.nan] * n if need_bounds else None
+    arrays = template.evaluation_path != "per_layer"
+    if not valid or not (arrays or need_bounds):
+        return bounds, outcomes
+    if not HAVE_NUMPY:
+        if bounds is not None:
+            for index in valid:
+                try:
+                    bounds[index] = compiled.lower_bound(
+                        specs[index], tune_microbatches)
+                except MappingError:
+                    pass  # stays NaN: no feasible microbatch count
         return bounds, outcomes
     batch = BoundBatch(compiled, [specs[i] for i in valid],
-                       tune_microbatches)
+                       tune_microbatches, enforce_memory and arrays)
 
     if bounds is not None:
-        bounds[valid] = batch.lower_bounds()
+        for index, bound in zip(valid, batch.lower_bounds().tolist()):
+            bounds[index] = bound
+    if not arrays:
+        return bounds, outcomes
     best, picks, feasible = batch.best_lanes()
     columns = [column.tolist() for column in batch.lane_components()]
     picks_list = picks.tolist()
     feasible_list = feasible.tolist()
     nubs = batch._lane_nub.tolist()
+    fits_list = (batch.any_lane_fits().tolist()
+                 if enforce_memory and tune_microbatches else None)
 
     for j, index in enumerate(valid):
+        spec = specs[index]
         if not feasible_list[j]:
+            if fits_list is not None and not fits_list[j]:
+                outcomes[index] = CandidateOutcome(
+                    spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
+                    detail=NO_MICROBATCH_FITS)
             continue  # scalar fallback reproduces the exact failure
         lane = picks_list[j]
-        spec = specs[index]
         breakdown = TrainingTimeBreakdown(**{
             name: column[lane]
             for name, column in zip(COMPONENT_NAMES, columns)})

@@ -160,8 +160,8 @@ class TestJournalMetricsRecord:
             # The default route evaluates whole chunks as array programs.
             assert snapshot["histograms"]["sweep.chunk_seconds"][
                 "count"] > 0
-        # The scalar route (memory screen) times every candidate.
-        run_sweep(template, 64, max_results=5, enforce_memory=True)
+        # The one-by-one route (per_layer) times every candidate.
+        run_sweep(template, 64, max_results=5, evaluation_path="per_layer")
         snapshot = get_metrics().snapshot()
         assert snapshot["histograms"]["sweep.candidate_seconds"][
             "count"] > 0

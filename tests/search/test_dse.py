@@ -7,9 +7,9 @@ from repro.errors import MappingError
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.dse import (
-    _evaluate_spec,
     best_mapping,
     compute_lower_bound,
+    evaluate_candidate,
     explore,
     pareto_front,
 )
@@ -126,25 +126,30 @@ class TestPruning:
         for spec in enumerate_mappings(small_system, template.model):
             candidate = replace(template, parallelism=spec)
             bound = compute_lower_bound(candidate, 64)
-            result = _evaluate_spec(template, spec, 64,
-                                    tune_microbatches=True,
-                                    enforce_memory=False)
+            result = evaluate_candidate(template, spec, 64,
+                                        tune_microbatches=True,
+                                        enforce_memory=False).result
             if result is None:
                 continue
             assert bound <= result.batch_time_s + 1e-12
 
 
 class TestMemoryCheckDedup:
-    def test_tuned_candidates_skip_recheck(self, template, monkeypatch):
+    def test_tuned_candidates_skip_recheck(self, template, small_system,
+                                           monkeypatch):
         import repro.search.dse as dse_module
+        from repro.parallelism.mapping import enumerate_mappings
         calls = []
         monkeypatch.setattr(dse_module, "_memory_feasible_candidates",
                             lambda candidate, global_batch: [4])
         monkeypatch.setattr(
             dse_module, "fits_in_memory",
             lambda *args, **kwargs: calls.append(args) or True)
-        results = explore(template, 64, enforce_memory=True)
-        assert results  # the sweep still produced ranked mappings
+        results = [
+            evaluate_candidate(template, spec, 64,
+                               enforce_memory=True).result
+            for spec in enumerate_mappings(small_system, template.model)]
+        assert any(results)  # candidates still evaluated
         # every candidate list came pre-screened, so the per-result
         # fits_in_memory re-check must never run
         assert calls == []

@@ -22,6 +22,7 @@ from repro.core.breakdown import TrainingTimeBreakdown
 from repro.core.model import AMPeD
 from repro.errors import ConfigurationError, SweepInterrupted, WorkerError
 from repro.hardware.catalog import megatron_a100_cluster
+from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.dse import (
@@ -99,6 +100,20 @@ class TestRankingEquivalence:
         assert [(r.label, r.batch_time_s) for r in outcome.results] \
             == [(r.label, r.batch_time_s) for r in ranked]
         assert not outcome.partial
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_untileable_mapping_skipped_by_both(self, template,
+                                                small_system, position):
+        # tp=3 cannot tile a 4-accelerator node.
+        bad = ParallelismSpec(tp_intra=3, dp_inter=4)
+        specs = enumerate_mappings(small_system, template.model)
+        specs = [bad] + specs if position == "first" else specs + [bad]
+        ranked = explore(template, 64, mappings=specs, max_results=5)
+        outcome = run_sweep(template, 64, mappings=specs, max_results=5)
+        assert outcome.report.skipped["mapping_infeasible"] == 1
+        assert [(r.label, r.batch_time_s) for r in ranked] \
+            == [(r.label, r.batch_time_s) for r in outcome.results]
+        assert len(ranked) == 5
 
     def test_report_covers_the_space(self, template):
         outcome = run_sweep(template, 64, max_results=5)

@@ -1,18 +1,22 @@
 """The scalar compiled route is the oracle for every default sweep.
 
 With NumPy importable, ``run_sweep`` and ``explore`` run every default
-(``"compiled"``) sweep on the vectorized binder, whatever its size.
-These tests keep the scalar route honest as an independent reference:
-on seeded planner cells (zoo model x cluster size x global batch) the
-default ranked sweep must equal the same sweep with NumPy switched
-off, bit for bit — labels, batch times, breakdowns, tuned mappings,
-the evaluated count and every skip count.  The compiled-sweep cache is
-cleared between the two runs so the scalar route fills its own term
-tables instead of reading the ones the array binder filled.
+(``"compiled"``) sweep on the vectorized binder, whatever its size,
+memory-enforced sweeps included (the memory screen is a lane mask
+there).  These tests keep the scalar route honest as an independent
+reference: on seeded planner cells (zoo model x cluster size x global
+batch) the default ranked sweep must equal the same sweep with NumPy
+switched off, bit for bit — labels, batch times, breakdowns, tuned
+mappings, the evaluated count and every skip count, and for
+memory-enforced cells the report and the journal's candidate records.
+The compiled-sweep cache is cleared between the two runs so the scalar
+route fills its own term tables instead of reading the ones the array
+binder filled.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -27,6 +31,7 @@ from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.search import vectorized as vectorized_module
 from repro.search.compiler import clear_compiled_cache
 from repro.search.resilience import run_sweep
+from repro.search.vectorized import clear_vectorized_stats, vectorized_stats
 from repro.transformer.zoo import MODELS
 
 NODE_COUNTS = (4, 16, 64, 128)
@@ -47,6 +52,20 @@ def _cells():
 
 
 CELLS = _cells()
+
+#: Memory-enforced cells: three where most candidates are memory
+#: skips (the cells the memory screen was timed on), two small models
+#: where most mappings fit, and the seeded planner cells.
+MEMORY_CELLS = [("megatron-1t", 128, 2048), ("gpt3-175b", 64, 1024),
+                ("megatron-1t", 256, 2048), ("megatron-1.7b", 4, 512),
+                ("mingpt-85m", 2, 64)] + CELLS
+
+
+def _template(key, n_nodes):
+    system = replace(megatron_a100_cluster(), n_nodes=n_nodes)
+    return AMPeD.for_mapping(MODELS[key], system,
+                             dp=system.n_accelerators,
+                             efficiency=CASE_STUDY_EFFICIENCY)
 
 
 def _ranked(template, batch, mappings):
@@ -86,3 +105,43 @@ def test_default_sweep_matches_scalar_route(key, n_nodes, batch,
 
     assert vectorized[0], "every planner cell ranks at least one mapping"
     assert vectorized == scalar
+
+
+def _memory_sweep(template, batch, tune, journal):
+    clear_compiled_cache()
+    outcome = run_sweep(template, batch, max_results=MAX_RESULTS,
+                        tune_microbatches=tune, enforce_memory=True,
+                        journal_path=journal)
+    results = [(result.label, result.batch_time_s,
+                result.breakdown.as_dict(), result.parallelism,
+                result.microbatch_size, result.microbatch_efficiency)
+               for result in outcome.results]
+    report = outcome.report.as_dict()
+    report.pop("journal_path")
+    with open(journal, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    candidates = [record for record in records
+                  if record["kind"] == "candidate"]
+    return results, report, candidates
+
+
+@pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
+@pytest.mark.parametrize("key,n_nodes,batch", MEMORY_CELLS)
+def test_memory_enforced_sweep_matches_scalar_route(
+        key, n_nodes, batch, tune, tmp_path, monkeypatch):
+    template = _template(key, n_nodes)
+    vectorized = _memory_sweep(template, batch, tune,
+                               tmp_path / "vectorized.jsonl")
+    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+    scalar = _memory_sweep(template, batch, tune,
+                           tmp_path / "scalar.jsonl")
+    assert vectorized[2], "the journal records every candidate"
+    assert vectorized == scalar
+
+
+def test_memory_enforced_sweep_binds_arrays():
+    clear_vectorized_stats()
+    outcome = run_sweep(_template("megatron-1t", 128), 2048,
+                        max_results=MAX_RESULTS, enforce_memory=True)
+    assert outcome.report.skipped["memory_capacity"] > 0
+    assert vectorized_stats()["lanes"] > 0
