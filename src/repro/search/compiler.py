@@ -176,22 +176,44 @@ class CompiledSweep:
         #: Cache key under which this instance is (or would be)
         #: registered; ``None`` when the template is unhashable.
         self.cache_key: Optional[tuple] = None
+        #: The sweep's validated CommEnvironment, built on first use.
+        self._env_base: Optional[CommEnvironment] = None
 
     # -- misses: reference-function calls -------------------------------------
 
     def _environment(self, spec: ParallelismSpec) -> CommEnvironment:
-        """The exact environment ``estimate_batch`` would build."""
-        return CommEnvironment(
-            system=self.system,
-            parallelism=spec,
-            precision=self.precision,
-            intra_topology=self.intra_topology,
-            inter_topology=self.inter_topology,
-            moe_topology=self.moe_topology,
-            zero_forward_overhead=self.zero_forward_overhead,
-            moe_volume_multiplier=self.moe_volume_multiplier,
-            moe_tp_sharding=self.moe_tp_sharding,
-        )
+        """The exact environment ``estimate_batch`` would build.
+
+        Every field but the mapping is a sweep constant, so the first
+        call builds and validates one environment and later calls copy
+        it with ``spec`` swapped in, as ``ParallelismSpec._copy_with``
+        does (``spec`` itself was validated when it was built).
+        """
+        base = self._env_base
+        if base is None:
+            base = self._env_base = CommEnvironment(
+                system=self.system,
+                parallelism=spec,
+                precision=self.precision,
+                intra_topology=self.intra_topology,
+                inter_topology=self.inter_topology,
+                moe_topology=self.moe_topology,
+                zero_forward_overhead=self.zero_forward_overhead,
+                moe_volume_multiplier=self.moe_volume_multiplier,
+                moe_tp_sharding=self.moe_tp_sharding,
+            )
+            return base
+        env = object.__new__(CommEnvironment)
+        env.__dict__.update(base.__dict__)
+        env.__dict__["parallelism"] = spec
+        return env
+
+    def __getstate__(self) -> dict:
+        """Pickle state without the environment prototype, which the
+        receiver rebuilds on its first fill."""
+        state = dict(self.__dict__)
+        state["_env_base"] = None
+        return state
 
     # -- the combiner ----------------------------------------------------------
 

@@ -202,11 +202,15 @@ def evaluate_candidate(template: AMPeD, spec: ParallelismSpec,
                        enforce_memory: bool = False) -> CandidateOutcome:
     """Fully evaluate one mapping, categorizing any infeasibility.
 
-    Never raises a :class:`~repro.errors.ReproError`: infeasible
-    mappings come back as skipped outcomes whose category says why
-    (mapping constraints vs memory capacity vs a non-finite batch time),
-    which is what the sweep journal records.  Genuine programming errors
-    still propagate.
+    Infeasible candidates come back as skipped outcomes whose category
+    says why (mapping constraints vs memory capacity vs a non-finite
+    batch time), which is what the sweep journal records.  The mapping
+    itself is validated first, outside that categorization: with the
+    template's ``validate`` on, a spec that cannot tile the system, or
+    that the model cannot honor, raises
+    :class:`~repro.errors.MappingError` on both routes (``run_sweep``
+    records it as a ``mapping_infeasible`` skip).  Genuine programming
+    errors still propagate.
 
     Compiled templates take a fast route through the sweep compiler's
     term tables that never constructs a per-candidate :class:`AMPeD`;

@@ -505,7 +505,7 @@ def ship_compiled(compiled: "CompiledSweep") -> object:
             keys[key] = list(table.keys())
             arrays[key] = np.fromiter(table.values(), dtype=np.float64,
                                       count=len(table))
-        lean = dict(compiled.__dict__)
+        lean = compiled.__getstate__()
         lean["classes"] = [(layer, weight)
                            for layer, weight, *_ in compiled.classes]
         for attr, _ in _SCALAR_TABLES:

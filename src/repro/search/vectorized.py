@@ -5,16 +5,17 @@ evaluation sublinear — key projection + dict lookups + scalar adds —
 but still walks candidates one at a time in Python.  This module turns
 that inner loop into NumPy array operations:
 
-1. **Project**: every candidate is projected onto integer *key
-   indices*, one per term table, using the same minimal-key taxonomy as
-   :data:`repro.collectives.keys.TERM_KEYS` (the projections are
-   inlined in the binding loop for speed; ``tests/search/
-   test_vectorized.py`` pins them against the taxonomy functions).
-2. **Batch-fill**: each term table is filled once per *distinct* key
-   through :class:`~repro.search.compiler.CompiledSweep`'s batch-fill
-   accessors — the fills land in the compiled sweep's own dict tables,
-   so the scalar and vectorized backends always read identical values —
-   and the values are packed into dense ``float64`` arrays.
+1. **Project**: the specs are read once into int64 columns, and each
+   key of :data:`repro.collectives.keys.TERM_KEYS` becomes one int64
+   code per candidate, composed from dense column ranks; one
+   ``np.unique`` over all keys' codes numbers each key's classes in
+   first-seen order (``tests/search/test_vectorized.py`` pins the
+   partitions against the taxonomy functions).
+2. **Batch-fill**: each term table is filled once per *distinct* key,
+   on the class's first candidate, through
+   :class:`~repro.search.compiler.CompiledSweep`'s batch-fill
+   accessors — into the compiled sweep's own dict tables, so both
+   backends read identical values — and packed into ``float64`` arrays.
 3. **Gather + sum**: all candidates evaluate as column-wise gathers
    into those arrays plus elementwise arithmetic that replays
    ``_combine``'s association order operation for operation.  IEEE-754
@@ -26,29 +27,25 @@ that inner loop into NumPy array operations:
 
 The microbatch-tuning axis rides along as extra *lanes*: communication
 terms are independent of ``N_ub``, so each candidate expands into one
-lane per candidate microbatch count and ``best_microbatch`` becomes a
-segmented ``minimum.reduceat`` (first minimum wins, matching the scalar
-strictly-smaller tie-break).  The branch-and-bound pruner's lower bound
-is likewise one segmented ``maximum.reduceat`` over efficiencies plus a
-no-bubble evaluation — one array compare replaces per-candidate
-``lower_bound`` calls.  A memory-enforced sweep adds one more lane
-mask: the compiled sweep's memory-screen table, one
+lane per candidate microbatch count (the grid, computed once per
+distinct ``(dp, pp)``) and ``best_microbatch`` becomes a segmented
+``minimum.reduceat`` (first minimum wins, matching the scalar
+strictly-smaller tie-break).  The pruner's lower bound is likewise one
+segmented ``maximum.reduceat`` over efficiencies plus a no-bubble
+evaluation.  A memory-enforced sweep adds one more lane mask: the
+compiled sweep's memory screen, one
 :func:`~repro.memory.constraints.fits_in_memory` call per distinct
 ``(tp, pp, dp, N_ub)``, restricts the lanes ``best_microbatch`` picks
 from and leaves the lower bound alone.
 
 NumPy is an **optional** dependency.  With it installed,
 :func:`resolve_evaluation_path` routes every default ``"compiled"``
-sweep, whatever its size, to this backend: the array program is faster
-than the scalar walk even on sweeps of a few dozen candidates, and
-both read the same term tables.  ``run_sweep`` (and ``explore``, which
-calls it) runs it in this process, chunk by chunk through
-:func:`evaluate_chunk`.  Without NumPy, sweeps run on the pure-python
-``"compiled"`` path, and an explicit API request for
-``evaluation_path="vectorized"`` raises a
-:class:`~repro.errors.ConfigurationError`.  See
-``docs/performance.md`` for the key-index layout and the full
-bit-exactness argument.
+sweep to this backend; ``run_sweep`` (and ``explore``, which calls it)
+runs it in this process, chunk by chunk through :func:`evaluate_chunk`.
+Without NumPy, sweeps run on the pure-python ``"compiled"`` path, and
+an explicit request for ``evaluation_path="vectorized"`` raises a
+:class:`~repro.errors.ConfigurationError`.  See ``docs/performance.md``
+for the key-index layout and the full bit-exactness argument.
 """
 
 from __future__ import annotations
@@ -56,12 +53,14 @@ from __future__ import annotations
 import math
 import threading
 import time
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search.compiler import COMPONENT_NAMES, CompiledSweep, compile_sweep
+from repro.search.compiler import COMPONENT_NAMES, CompiledSweep
 from repro.search.tuning import candidate_microbatch_counts
 
 try:  # Optional extra: repro[vectorized].
@@ -87,6 +86,30 @@ DEFAULT_CHUNK_CANDIDATES = 4096
 #: batches (slicing changes which elements an op touches, never the
 #: op itself, so bit-exactness is unaffected).
 _EVAL_CHUNK_LANES = 131072
+
+#: Spec attributes a bound batch reads, one int64 column each: the six
+#: degrees and the expert-parallel flag, plus ``N_ub`` when untuned.
+_FIELDS = ("tp_intra", "tp_inter", "pp_intra", "pp_inter", "dp_intra",
+           "dp_inter", "expert_parallel")
+_DEGREES = attrgetter(*_FIELDS)
+_DEGREES_AND_NUB = attrgetter(*_FIELDS, "microbatches")
+_RATIO = attrgetter("bubble_overlap_ratio")
+
+#: Columns of a bound batch's rank block: ``_FIELDS``, the tp/pp/dp
+#: totals, the pp term's gates ``min(pp_intra|pp_inter, 2)``, R, and
+#: ``N_ub`` when untuned.
+(_TPI, _TPX, _PPI, _PPX, _DPI, _DPX, _EP, _TP, _PP, _DP, _PPI_GATE, _PPX_GATE,
+ _R, _NUB) = range(14)
+#: TERM_KEYS as rank-block columns: tp_intra, tp_inter, pp, moe and
+#: gradient (= zero); then the lane keys efficiency, bubble and the
+#: memory screen's (tp, pp, dp, N_ub); then, when tuning, the N_ub grid
+#: (it depends on (dp, pp) only) and the lane-table row, which fixes
+#: every lane key but N_ub (tp only with the memory screen).
+_TERM_KEY_ROWS = ((_TPI, _DP), (_TPI, _TPX, _DP), (_PPI_GATE, _PPX_GATE, _DP),
+                  (_TP, _DP, _EP), (_TP, _DPI, _DPX, _EP))
+_LANE_KEY_ROWS = ((_DP, _NUB), (_PP, _NUB, _R), (_TP, _PP, _DP, _NUB))
+_GRID_ROW = (_DP, _PP)
+_TABLE_ROWS = ((_DP, _PP, _R), (_DP, _PP, _R, _TP))
 
 
 def require_numpy() -> None:
@@ -196,216 +219,146 @@ class BoundBatch:
         self.compiled = compiled
         self.specs: List[ParallelismSpec] = list(specs)
         self.tune_microbatches = tune_microbatches
-        global_batch = compiled.global_batch
+        specs = self.specs
+        n = len(specs)
 
         # Sweep constants snapshot (scalar replay parameters).
         self._exposed = compiled.exposed
         self._bcr = compiled.backward_comm_ratio
         self._explicit_zero = compiled.explicit_zero
-        eq8 = compiled.bubble_model == "eq8"
-        n_layers = compiled.model.n_layers
         #: ``(weight, is_transformer, is_moe)`` per layer class, in the
         #: combiner's class order.
         self._class_meta: List[Tuple[float, bool, bool]] = [
             (weight, layer.index >= 0, layer.is_moe)
             for layer, weight, *_ in compiled.classes]
-        concurrent = compiled.concurrent_stage_comm
 
-        # -- projection: candidates -> key indices ------------------------
-        # The tuple layouts below inline the TERM_KEYS projections of
-        # repro.collectives.keys (tp_intra_key, tp_inter_key, pp_key,
-        # moe_key, gradient_key, efficiency_key, bubble_key);
-        # test_vectorized.py pins the equivalence spec by spec.
-        tpi_index: Dict[tuple, int] = {}
-        tpx_index: Dict[tuple, int] = {}
-        pp_index: Dict[tuple, int] = {}
-        moe_index: Dict[tuple, int] = {}
-        grad_index: Dict[tuple, int] = {}
-        eff_index: Dict[tuple, int] = {}
-        bub_index: Dict[tuple, int] = {}
-        tpi_reps: List[ParallelismSpec] = []
-        tpx_reps: List[ParallelismSpec] = []
-        pp_reps: List[ParallelismSpec] = []
-        moe_reps: List[ParallelismSpec] = []
-        grad_reps: List[ParallelismSpec] = []
-        eff_reps: List[Tuple[ParallelismSpec, int]] = []
+        # -- columns: one attribute pass over the specs --------------------
+        fields = 7 if tune_microbatches else 8
+        degrees = np.fromiter(
+            chain.from_iterable(map(
+                _DEGREES if tune_microbatches else _DEGREES_AND_NUB, specs)),
+            dtype=np.int64, count=n * fields).reshape(n, fields)
+        # ``+ 0.0`` folds -0.0 onto 0.0, which a dict key also merges.
+        ratio = np.fromiter(map(_RATIO, specs), dtype=np.float64,
+                            count=n) + 0.0
+        totals = degrees[:, 0:6:2] * degrees[:, 1:6:2]  # tp, pp, dp
+        tp, pp, dp = totals.T
+        world = tp * pp * dp
+        self._workers = world.astype(np.float64)
+        self._stage_share = (pp.astype(np.float64)
+                             if compiled.concurrent_stage_comm
+                             else np.ones(n))
+        self._bub_divisor = (world * compiled.model.n_layers
+                             if compiled.bubble_model == "eq8"
+                             else world).astype(np.float64)
+        self._pp_gt1 = pp > 1
 
-        tpi_idx: List[int] = []
-        tpx_idx: List[int] = []
-        pp_idx: List[int] = []
-        moe_idx: List[int] = []
-        grad_idx: List[int] = []
-        workers_col: List[float] = []
-        stage_col: List[float] = []
-        divisor_col: List[float] = []
-        pp_gt1_col: List[bool] = []
-        counts: List[int] = []
-        lane_eff: List[int] = []
-        lane_bub: List[int] = []
-        lane_nub: List[int] = []
+        # -- keys: one int64 code per key, from dense column ranks ---------
+        # All columns share one value set, so a key's code is a
+        # base-``radix`` number over its columns' ranks (_*_KEY_ROWS).
+        block = np.concatenate(
+            [degrees[:, :7], totals, np.minimum(degrees[:, 2:4], 2),
+             ratio.view(np.int64).reshape(n, 1), degrees[:, 7:]], axis=1)
+        ranks, radix = _rerank(np, block)
+        n_lane_keys = 3 if enforce_memory else 2
+        spec_classes = _classes(np, *_codes(
+            np, ranks, radix, _TERM_KEY_ROWS + (
+                (_GRID_ROW, _TABLE_ROWS[enforce_memory]) if tune_microbatches
+                else _LANE_KEY_ROWS[:n_lane_keys])))
+        ((self._tpi_idx, tpi_first), (self._tpx_idx, tpx_first),
+         (self._pp_idx, pp_first), (self._moe_idx, moe_first),
+         (self._grad_idx, grad_first)) = spec_classes[:5]
 
-        for spec in self.specs:
-            tp_i = spec.tp_intra
-            tp_x = spec.tp_inter
-            ep = spec.expert_parallel
-            tp = tp_i * tp_x
-            pp = spec.pp_intra * spec.pp_inter
-            dp = spec.dp_intra * spec.dp_inter
-
-            key = (tp_i, dp)  # keys.tp_intra_key
-            idx = tpi_index.get(key)
-            if idx is None:
-                idx = len(tpi_index)
-                tpi_index[key] = idx
-                tpi_reps.append(spec)
-            tpi_idx.append(idx)
-
-            key = (tp_i, tp_x, dp)  # keys.tp_inter_key
-            idx = tpx_index.get(key)
-            if idx is None:
-                idx = len(tpx_index)
-                tpx_index[key] = idx
-                tpx_reps.append(spec)
-            tpx_idx.append(idx)
-
-            key = (spec.pp_intra > 1, spec.pp_inter > 1, dp)  # keys.pp_key
-            idx = pp_index.get(key)
-            if idx is None:
-                idx = len(pp_index)
-                pp_index[key] = idx
-                pp_reps.append(spec)
-            pp_idx.append(idx)
-
-            key = (tp, dp, ep)  # keys.moe_key
-            idx = moe_index.get(key)
-            if idx is None:
-                idx = len(moe_index)
-                moe_index[key] = idx
-                moe_reps.append(spec)
-            moe_idx.append(idx)
-
-            key = (tp, spec.dp_intra, spec.dp_inter, ep)  # keys.gradient_key
-            idx = grad_index.get(key)
-            if idx is None:
-                idx = len(grad_index)
-                grad_index[key] = idx
-                grad_reps.append(spec)
-            grad_idx.append(idx)
-
-            workers_col.append(float(tp * pp * dp))
-            stage_col.append(float(pp if concurrent else 1))
-            divisor = tp * dp * pp
-            if eq8:
-                divisor *= n_layers
-            divisor_col.append(float(divisor))
-            pp_gt1_col.append(pp > 1)
-
-            if tune_microbatches:
-                n_ubs = candidate_microbatch_counts(spec, global_batch)
-            else:
-                n_ubs = [spec.microbatches]
-            counts.append(len(n_ubs))
-            ratio = spec.bubble_overlap_ratio
-            for n_ub in n_ubs:
-                key = (dp, n_ub)  # keys.efficiency_key
-                idx = eff_index.get(key)
-                if idx is None:
-                    idx = len(eff_index)
-                    eff_index[key] = idx
-                    eff_reps.append((spec, n_ub))
-                lane_eff.append(idx)
-                key = (pp, n_ub, ratio)  # keys.bubble_key
-                idx = bub_index.get(key)
-                if idx is None:
-                    idx = len(bub_index)
-                    bub_index[key] = idx
-                lane_bub.append(idx)
-                lane_nub.append(n_ub)
-
-        self._tpi_idx = np.asarray(tpi_idx, dtype=np.intp)
-        self._tpx_idx = np.asarray(tpx_idx, dtype=np.intp)
-        self._pp_idx = np.asarray(pp_idx, dtype=np.intp)
-        self._moe_idx = np.asarray(moe_idx, dtype=np.intp)
-        self._grad_idx = np.asarray(grad_idx, dtype=np.intp)
-        self._workers = np.asarray(workers_col)
-        self._stage_share = np.asarray(stage_col)
-        self._bub_divisor = np.asarray(divisor_col)
-        self._pp_gt1 = np.asarray(pp_gt1_col, dtype=bool)
-        self._counts = np.asarray(counts, dtype=np.intp)
-        self._offsets = np.zeros(len(counts), dtype=np.intp)
-        if counts:
-            np.cumsum(self._counts[:-1], out=self._offsets[1:])
-        self._lane_spec = np.repeat(
-            np.arange(len(self.specs), dtype=np.intp), self._counts)
-        self._lane_eff_idx = np.asarray(lane_eff, dtype=np.intp)
-        self._lane_bub_idx = np.asarray(lane_bub, dtype=np.intp)
-        self._lane_nub = np.asarray(lane_nub, dtype=np.int64)
+        # -- lanes: one per candidate microbatch count ---------------------
+        # Per lane key: (lane -> class, each class's first spec, its N_ub).
+        if tune_microbatches:
+            (grid_of, grid_first), (row_of, row_first) = spec_classes[5:]
+            grids = [candidate_microbatch_counts(specs[row],
+                                                 compiled.global_batch)
+                     for row in grid_first.tolist()]
+            lengths = np.array([len(grid) for grid in grids], dtype=np.intp)
+            slots = int(lengths.max(initial=1))
+            nubs = np.array([grid + [0] * (slots - len(grid))
+                             for grid in grids],
+                            dtype=np.int64).reshape(-1)
+            self._counts = lengths[grid_of]
+            self._lane_spec, lane_slot, self._offsets = _expand(
+                np, self._counts)
+            # The lane keys are classified on a table of (row class x
+            # grid slot) entries, laid out in first-seen lane order.
+            row_grid = grid_of[row_first]
+            rows, slot, starts = _expand(np, lengths[row_grid])
+            entry_spec = row_first[rows]
+            entry_nub = nubs[row_grid[rows] * slots + slot]
+            lane_entry = starts[row_of[self._lane_spec]] + lane_slot
+            self._lane_nub = entry_nub[lane_entry]
+            nub_ranks, nub_radix = _rerank(np, entry_nub)
+            lane_classes = _classes(np, *_codes(
+                np, np.concatenate([ranks[entry_spec], nub_ranks[:, None]],
+                                   axis=1),
+                max(radix, nub_radix), _LANE_KEY_ROWS[:n_lane_keys]))
+            lane_keys = [(ids[lane_entry], entry_spec[first],
+                          entry_nub[first]) for ids, first in lane_classes]
+        else:  # one lane per spec, at its own N_ub
+            self._lane_nub = degrees[:, 7]
+            self._counts = np.ones(n, dtype=np.intp)
+            self._lane_spec = self._offsets = np.arange(n)
+            lane_keys = [(ids, first, self._lane_nub[first])
+                         for ids, first in spec_classes[5:]]
+        (self._lane_eff_idx, eff_rows, eff_nubs), \
+            (self._lane_bub_idx, bub_rows, bub_nubs) = lane_keys[:2]
 
         # -- memory screen: one fits_in_memory call per distinct
         # (tp, pp, dp, N_ub), masking the lanes best_lanes picks from.
         self._lane_fits = None
         if enforce_memory:
-            specs = self.specs
-            self._lane_fits = np.asarray(
-                [compiled.fits_for(specs[row], n_ub) for row, n_ub
-                 in zip(self._lane_spec.tolist(), lane_nub)], dtype=bool)
+            lane_mem, mem_rows, mem_nubs = lane_keys[2]
+            fits = [compiled.fits_for(specs[row], n_ub) for row, n_ub
+                    in zip(mem_rows.tolist(), mem_nubs.tolist())]
+            self._lane_fits = np.array(fits, dtype=bool)[lane_mem]
 
         # -- batch fill: one accessor call per distinct key ----------------
         # Fills land in the compiled sweep's own dict tables, keeping
         # both backends reading identical values; keys whose reference
         # function raises MappingError become NaN rows, so any lane
         # touching them evaluates non-finite and falls back to the
-        # scalar path for the exact error semantics.
-        self._eff_vals = np.empty(len(eff_reps))
-        self._eff_ok = np.zeros(len(eff_reps), dtype=bool)
-        for idx, (rep, n_ub) in enumerate(eff_reps):
+        # scalar path for the exact error semantics.  Classes number in
+        # first-seen order, so the tables fill in candidate order.
+        effs: List[Optional[float]] = []
+        for row, n_ub in zip(eff_rows.tolist(), eff_nubs.tolist()):
             try:
-                self._eff_vals[idx] = compiled.efficiency_for(
-                    rep.with_microbatches(n_ub))
-                self._eff_ok[idx] = True
+                effs.append(compiled.efficiency_for(
+                    specs[row].with_microbatches(n_ub)))
             except MappingError:
-                self._eff_vals[idx] = 1.0  # placeholder, masked below
+                effs.append(None)
+        self._eff_ok = np.array([eff is not None for eff in effs], bool)
+        self._eff_vals = np.array(  # 1.0: a placeholder, masked by _eff_ok
+            [1.0 if eff is None else eff for eff in effs], dtype=np.float64)
 
-        self._bub_vals = np.empty(len(bub_index))
-        for key, idx in bub_index.items():
-            self._bub_vals[idx] = compiled.bubble_prefactor_for(*key)
+        self._bub_vals = np.array([
+            compiled.bubble_prefactor_for(
+                specs[row].pp, n_ub, specs[row].bubble_overlap_ratio)
+            for row, n_ub in zip(bub_rows.tolist(), bub_nubs.tolist())],
+            dtype=np.float64)
 
-        self._tpi_vals = _fill(np, tpi_reps, compiled.tp_intra_for)
-        self._tpx_vals = _fill(np, tpx_reps, compiled.tp_inter_for)
-        self._pp_vals = _fill(np, pp_reps, compiled.pp_for)
-        self._moe_vals = _fill(np, moe_reps, compiled.moe_for)
+        self._tpi_vals = _fill(np, specs, tpi_first, compiled.tp_intra_for)
+        self._tpx_vals = _fill(np, specs, tpx_first, compiled.tp_inter_for)
+        self._pp_vals = _fill(np, specs, pp_first, compiled.pp_for)
+        self._moe_vals = _fill(np, specs, moe_first, compiled.moe_for)
 
+        # Per-class value arrays are column views of one array per table.
         n_classes = len(compiled.classes)
-        self._comp = [np.zeros((len(eff_reps), 3))
-                      for _ in range(n_classes)]
-        for idx in range(len(eff_reps)):
-            if not self._eff_ok[idx]:
-                continue
-            triples = compiled.compute_triples_for(
-                float(self._eff_vals[idx]))
-            for cls in range(n_classes):
-                self._comp[cls][idx] = triples[cls]
-
-        self._grad = [np.empty((len(grad_reps), 2))
-                      for _ in range(n_classes)]
-        self._zero = ([np.empty(len(grad_reps)) for _ in range(n_classes)]
-                      if self._explicit_zero else None)
-        for idx, rep in enumerate(grad_reps):
-            try:
-                pairs = compiled.gradient_pairs_for(rep)
-                for cls in range(n_classes):
-                    self._grad[cls][idx] = pairs[cls]
-            except MappingError:
-                for cls in range(n_classes):
-                    self._grad[cls][idx] = math.nan
-            if self._zero is not None:
-                try:
-                    gathers = compiled.zero_gathers_for(rep)
-                    for cls in range(n_classes):
-                        self._zero[cls][idx] = gathers[cls]
-                except MappingError:
-                    for cls in range(n_classes):
-                        self._zero[cls][idx] = math.nan
+        comp = np.array([[(0.0, 0.0, 0.0)] * n_classes if eff is None
+                         else compiled.compute_triples_for(float(eff))
+                         for eff in effs], dtype=np.float64)
+        self._comp = list(comp.reshape(-1, n_classes, 3).swapaxes(0, 1))
+        grad = _fill(np, specs, grad_first, compiled.gradient_pairs_for,
+                     [(math.nan, math.nan)] * n_classes)
+        self._grad = list(grad.reshape(-1, n_classes, 2).swapaxes(0, 1))
+        self._zero = (list(_fill(
+            np, specs, grad_first, compiled.zero_gathers_for,
+            [math.nan] * n_classes).reshape(-1, n_classes).T)
+            if self._explicit_zero else None)
 
         self._lane_ok = self._eff_ok[self._lane_eff_idx]
         self._lane_components_cache: Optional[tuple] = None
@@ -430,9 +383,9 @@ class BoundBatch:
         for value in vars(self).values():
             if isinstance(value, _np.ndarray):
                 total += value.nbytes
-            elif isinstance(value, list):
-                total += sum(item.nbytes for item in value
-                             if isinstance(item, _np.ndarray))
+            elif (isinstance(value, list) and value
+                  and isinstance(value[0], _np.ndarray)):
+                total += sum(item.nbytes for item in value)
         return total
 
     # -- the column-wise combiner ---------------------------------------------
@@ -598,11 +551,6 @@ class BoundBatch:
         feasible = np.isfinite(best)
         return best, picks, feasible
 
-    def any_lane_fits(self):
-        """Per candidate: whether any of its lanes passes the memory
-        screen (requires a batch bound with ``enforce_memory``)."""
-        return _np.logical_or.reduceat(self._lane_fits, self._offsets)
-
     def lower_bounds(self):
         """Batched pruner bound: one value per candidate, NaN when no
         microbatch count is feasible (the scalar path raises
@@ -632,17 +580,84 @@ class BoundBatch:
         return np.where(feasible, bounds, np.nan)
 
 
-def _fill(np, reps: List[ParallelismSpec], getter):
-    """Dense value array for one comm-term table: one accessor call per
-    distinct key; keys whose reference function raises MappingError
-    become NaN (their lanes fall back to the scalar path)."""
-    values = np.empty(len(reps))
-    for idx, rep in enumerate(reps):
+def _fill(np, specs: List[ParallelismSpec], rows, getter,
+          failed: object = math.nan):
+    """Dense values of one table: one accessor call per distinct key,
+    on its class's first spec ``specs[row]``; a key whose reference
+    function raises MappingError gets ``failed`` (NaN rows, whose lanes
+    fall back to the scalar path)."""
+    values = []
+    for row in rows.tolist():
         try:
-            values[idx] = getter(rep)
+            values.append(getter(specs[row]))
         except MappingError:
-            values[idx] = math.nan
-    return values
+            values.append(failed)
+    return np.array(values, dtype=np.float64)
+
+
+#: Largest key-code span: ``code * base + digit`` then fits int64.
+_CODE_LIMIT = 1 << 62
+
+
+def _codes(np, ranks, radix: int, keys) -> tuple:
+    """``(codes, span)``: per key, a row of int64 codes below ``span``
+    reading the key's ``ranks`` columns as base-``radix`` digits.  One
+    matrix product while the spans fit :data:`_CODE_LIMIT`, else digit
+    by digit, re-ranking before a digit could carry a code past it."""
+    width = max(map(len, keys))
+    if radix ** width * len(keys) <= _CODE_LIMIT:
+        weights = np.zeros((len(keys), ranks.shape[1]), dtype=np.int64)
+        for row, key in enumerate(keys):
+            for place, column in enumerate(reversed(key)):
+                weights[row, column] = radix ** place
+        return weights @ ranks.T, radix ** width
+    codes = []
+    for key in keys:
+        code, span = ranks[:, key[0]], radix
+        for column in key[1:]:
+            if span * radix > _CODE_LIMIT:
+                code, span = _rerank(np, code)
+            code, span = code * radix + ranks[:, column], span * radix
+        codes.append(_rerank(np, code)[0])
+    return np.stack(codes), max(1, ranks.shape[0])
+
+
+def _rerank(np, values) -> tuple:
+    """``(dense ranks of values, shaped like values; their span)``."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks.reshape(values.shape), max(1, distinct.shape[0])
+
+
+def _classes(np, codes, span: int) -> list:
+    """Equality classes of each row of ``codes`` (one key per row, codes
+    below ``span``), from one ``np.unique`` over the rows tagged into
+    disjoint ranges: per key ``(ids, firsts)``, ``ids[i]`` column ``i``'s
+    class, ``firsts[c]`` where class ``c`` first occurs (first-seen)."""
+    n_keys, n = codes.shape
+    tagged = (codes + np.arange(0, n_keys * span, span)[:, None]).ravel()
+    distinct, inverse = np.unique(tagged, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.full(distinct.shape[0], tagged.shape[0])
+    np.minimum.at(first, inverse, np.arange(tagged.shape[0]))
+    order = first.argsort()
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.shape[0])
+    firsts = first[order]
+    # First-seen numbering keeps each key's classes contiguous, in tag
+    # order: cut at the keys' edges and shift to per-key origins.
+    cuts = np.searchsorted(firsts, np.arange(n_keys + 1) * n)
+    ids = renumber[inverse].reshape(n_keys, n) - cuts[:-1, None]
+    cuts = cuts.tolist()
+    return [(ids[key], firsts[cuts[key]:cuts[key + 1]] - key * n)
+            for key in range(n_keys)]
+
+
+def _expand(np, counts) -> tuple:
+    """``(rows, slots, starts)``: row ``r`` repeated ``counts[r]`` times,
+    each copy's slot ``0..counts[r]-1``, and where each row starts."""
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(counts.shape[0]), counts)
+    return rows, np.arange(rows.shape[0]) - starts[rows], starts
 
 
 class VectorizedSweep:
@@ -656,27 +671,6 @@ class VectorizedSweep:
              tune_microbatches: bool = False) -> BoundBatch:
         """Project + batch-fill ``specs`` into a :class:`BoundBatch`."""
         return BoundBatch(self.compiled, specs, tune_microbatches)
-
-    def batch_times(self, specs: Sequence[ParallelismSpec]):
-        """Batch time per candidate at its own ``N_ub`` (NaN =
-        infeasible) — the array counterpart of
-        :meth:`CompiledSweep.batch_time`."""
-        return self.bind(specs).lane_times()
-
-    def tuned_times(self, specs: Sequence[ParallelismSpec]):
-        """Best batch time per candidate across its microbatch lanes
-        (NaN = no feasible lane) — the array counterpart of
-        :meth:`CompiledSweep.best_microbatch`."""
-        best, _, feasible = self.bind(
-            specs, tune_microbatches=True).best_lanes()
-        return _np.where(feasible, best, _np.nan)
-
-
-def vectorize_sweep(template: "AMPeD",
-                    global_batch: int) -> VectorizedSweep:
-    """A :class:`VectorizedSweep` over the process-cached compiled
-    tables for ``(template, global_batch)``."""
-    return VectorizedSweep(compile_sweep(template, global_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +697,9 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
     results — which the caller re-evaluates through the scalar route
     (it reproduces the exact error categories and detail strings).
     With ``enforce_memory`` the memory screen masks the lanes, and a
-    tuned candidate none of whose lanes fits is a ``memory_capacity``
-    skip.
+    candidate none of whose lanes fits is a ``memory_capacity`` skip
+    (untuned, only once its microbatch holds a sequence, as in the
+    scalar route).
 
     Array outcomes need NumPy and a compiled template; otherwise every
     outcome is ``None``, and bounds come from
@@ -758,16 +753,21 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
     picks_list = picks.tolist()
     feasible_list = feasible.tolist()
     nubs = batch._lane_nub.tolist()
-    fits_list = (batch.any_lane_fits().tolist()
-                 if enforce_memory and tune_microbatches else None)
+    fits_list = (_np.logical_or.reduceat(batch._lane_fits, batch._offsets)
+                 .tolist() if enforce_memory else None)
+    # Untuned, lane j is candidate j, sized before its memory check.
+    sized_list = batch._lane_ok.tolist() if enforce_memory else None
 
     for j, index in enumerate(valid):
         spec = specs[index]
         if not feasible_list[j]:
-            if fits_list is not None and not fits_list[j]:
+            if fits_list is not None and not fits_list[j] and (
+                    tune_microbatches or sized_list[j]):
                 outcomes[index] = CandidateOutcome(
                     spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                    detail=NO_MICROBATCH_FITS)
+                    detail=NO_MICROBATCH_FITS if tune_microbatches else
+                    f"microbatch {microbatch_size(global_batch, spec):g} "
+                    f"does not fit in HBM")
             continue  # scalar fallback reproduces the exact failure
         lane = picks_list[j]
         breakdown = TrainingTimeBreakdown(**{

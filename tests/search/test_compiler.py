@@ -186,6 +186,36 @@ class TestTables:
         assert second["entries"] == first["entries"]
 
 
+class TestEnvironment:
+    """Fills share one validated CommEnvironment per sweep, copied per
+    mapping; the copy is the environment estimate_batch would build."""
+
+    def test_copy_equals_a_fresh_build(self, template, system):
+        from repro.core.communication import CommEnvironment
+        compiled = CompiledSweep(template, GLOBAL_BATCH)
+        specs = enumerate_mappings(system, template.model)[:4]
+        for spec in specs:
+            assert compiled._environment(spec) == CommEnvironment(
+                system=system, parallelism=spec,
+                precision=template.precision,
+                intra_topology=template.intra_topology,
+                inter_topology=template.inter_topology,
+                moe_topology=template.moe_topology,
+                zero_forward_overhead=compiled.zero_forward_overhead,
+                moe_volume_multiplier=template.moe_volume_multiplier,
+                moe_tp_sharding=template.moe_tp_sharding)
+
+    def test_prototype_stays_out_of_pickles(self, template, system):
+        compiled = CompiledSweep(template, GLOBAL_BATCH)
+        first, second = enumerate_mappings(system, template.model)[:2]
+        compiled.batch_time(first)
+        assert compiled._env_base is not None
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._env_base is None
+        assert clone.batch_time(second) == compiled.batch_time(second)
+        assert clone._env_base.parallelism == second
+
+
 class TestProcessCache:
     def test_compile_sweep_caches_by_identity(self, template):
         compiled = replace(template, evaluation_path="compiled")

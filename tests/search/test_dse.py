@@ -153,3 +153,38 @@ class TestMemoryCheckDedup:
         # every candidate list came pre-screened, so the per-result
         # fits_in_memory re-check must never run
         assert calls == []
+
+
+class TestEvaluateCandidateValidation:
+    """A mapping that cannot tile the system raises before any skip is
+    categorized, on both routes; a sweep records it as a skip."""
+
+    BAD = ParallelismSpec(tp_intra=3, dp_inter=2)  # 3 cannot tile 8 GPUs
+
+    @pytest.fixture
+    def mingpt(self):
+        from dataclasses import replace
+
+        from repro.hardware.catalog import megatron_a100_cluster
+        from repro.transformer.zoo import MODELS
+        system = replace(megatron_a100_cluster(), n_nodes=2)
+        return AMPeD.for_mapping(MODELS["mingpt-85m"], system,
+                                 dp=system.n_accelerators)
+
+    @pytest.mark.parametrize("path", ["compiled", "per_layer"])
+    @pytest.mark.parametrize("tune", [True, False])
+    def test_untileable_spec_raises(self, mingpt, path, tune):
+        from dataclasses import replace
+        template = replace(mingpt, evaluation_path=path)
+        with pytest.raises(MappingError, match="do not tile the node"):
+            evaluate_candidate(template, self.BAD, 64,
+                               tune_microbatches=tune)
+
+    def test_run_sweep_skips_it_as_mapping_infeasible(self, mingpt):
+        from repro.search.resilience import run_sweep
+        good = ParallelismSpec(dp_intra=8, dp_inter=2)
+        outcome = run_sweep(mingpt, 64, mappings=[self.BAD, good],
+                            prune=False)
+        assert outcome.report.skipped == {"mapping_infeasible": 1}
+        assert [result.parallelism.dp for result in outcome.results] \
+            == [16]

@@ -28,6 +28,7 @@ from repro.core.model import AMPeD
 from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
+from repro.search import resilience as resilience_module
 from repro.search import vectorized as vectorized_module
 from repro.search.compiler import clear_compiled_cache
 from repro.search.resilience import run_sweep
@@ -145,3 +146,31 @@ def test_memory_enforced_sweep_binds_arrays():
                         max_results=MAX_RESULTS, enforce_memory=True)
     assert outcome.report.skipped["memory_capacity"] > 0
     assert vectorized_stats()["lanes"] > 0
+
+
+def test_untuned_memory_skips_come_from_the_lane_mask(tmp_path,
+                                                      monkeypatch):
+    """Untuned, memory-enforced candidates that do not fit are decided
+    in the arrays: none goes back through ``evaluate_candidate``, and
+    the ranking, report, skip counts and journal details equal the
+    scalar route's."""
+    calls = []
+    scalar_route = resilience_module.evaluate_candidate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return scalar_route(*args, **kwargs)
+
+    monkeypatch.setattr(resilience_module, "evaluate_candidate", counting)
+    template = _template("megatron-1t", 128)
+    vectorized = _memory_sweep(template, 2048, False,
+                               tmp_path / "vectorized.jsonl")
+    assert calls == []
+    assert vectorized[1]["skipped"]["memory_capacity"] == 280
+    assert all(record["detail"].endswith("does not fit in HBM")
+               for record in vectorized[2])
+
+    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+    scalar = _memory_sweep(template, 2048, False, tmp_path / "scalar.jsonl")
+    assert len(calls) == 280
+    assert vectorized == scalar

@@ -76,7 +76,7 @@ def compiled(template):
 
 
 class TestKeyProjection:
-    """The binder's inlined projections must partition candidates
+    """The binder's array projections must partition candidates
     exactly like the TERM_KEYS taxonomy they transcribe."""
 
     @pytest.mark.parametrize("attr,key_fn", [
@@ -117,6 +117,253 @@ class TestKeyProjection:
                     keys.bubble_key(tuned), bub_index) == bub_index
                 lane += 1
         assert lane == batch.n_lanes
+
+
+#: Seed, overlap ratios and cells of the projection suite: a dense and
+#: an MoE model, and a 16,384-node system at global batch 2^20, whose
+#: degrees and N_ub grids are the widest the key codes meet.
+PROJECTION_SEED = 20231019
+RATIOS = (0.0, 0.5, 1.0, 2.0)
+PROJECTION_CELLS = [("megatron-145b", 4, 256), ("glam-1.2t", 16, 1024),
+                    ("megatron-1t", 16384, 2 ** 20)]
+
+
+def _projection_batch(system, model, rng, size, explicit_nub):
+    """A seeded candidate batch: random mappings with both
+    ``expert_parallel`` values and every overlap ratio, a quarter of
+    them repeated verbatim, and (``explicit_nub``) most carrying an
+    explicit microbatch count."""
+    mappings = enumerate_mappings(system, model)
+    batch = []
+    for _ in range(size):
+        spec = replace(rng.choice(mappings),
+                       expert_parallel=rng.random() < 0.5,
+                       bubble_overlap_ratio=rng.choice(RATIOS))
+        if explicit_nub and rng.random() < 0.7:
+            spec = spec.with_microbatches(
+                rng.choice((1, 2, 3, 8, 64, 4096)))
+        batch.append(spec)
+    return batch + batch[:size // 4]
+
+
+def _projection_cases():
+    cases = []
+    for key, n_nodes, global_batch in PROJECTION_CELLS:
+        for tune in (True, False):
+            for size in (0, 1, 96):
+                cases.append((key, n_nodes, global_batch, tune, size))
+    return cases
+
+
+def _lanes(specs, global_batch, tune):
+    """``(spec index, N_ub)`` per lane, in lane order."""
+    from repro.search.tuning import candidate_microbatch_counts
+    return [(index, n_ub) for index, spec in enumerate(specs)
+            for n_ub in (candidate_microbatch_counts(spec, global_batch)
+                         if tune else [spec.microbatches])]
+
+
+def _assert_partition(ids, keys):
+    """``ids`` partitions rows exactly like ``keys`` and numbers the
+    classes in first-seen order."""
+    ids = list(ids)
+    assert len(ids) == len(keys)
+    assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys))
+    assert list(dict.fromkeys(ids)) == list(range(len(set(ids))))
+
+
+def _memory_key(spec, n_ub):
+    return (spec.tp, spec.pp, spec.dp, n_ub)
+
+
+class TestProjectionSuite:
+    """Seeded batches bound as arrays: every key's index partition is
+    the TERM_KEYS partition, classes number in first-seen order, and
+    each class's filled value is the one its members' keys fetch."""
+
+    TERM_ATTRS = [("_tpi_idx", "_tpi_vals", keys.tp_intra_key, "tp_intra_for"),
+                  ("_tpx_idx", "_tpx_vals", keys.tp_inter_key, "tp_inter_for"),
+                  ("_pp_idx", "_pp_vals", keys.pp_key, "pp_for"),
+                  ("_moe_idx", "_moe_vals", keys.moe_key, "moe_for")]
+
+    @pytest.mark.parametrize("key,n_nodes,global_batch,tune,size",
+                             _projection_cases())
+    def test_indices_partition_like_the_taxonomy(
+            self, key, n_nodes, global_batch, tune, size):
+        import random
+
+        from repro.hardware.catalog import megatron_a100_cluster
+        system = replace(megatron_a100_cluster(), n_nodes=n_nodes)
+        model = MODELS[key]
+        template = AMPeD.for_mapping(model, system,
+                                     dp=system.n_accelerators)
+        rng = random.Random(f"{PROJECTION_SEED}-{key}-{tune}-{size}")
+        specs = _projection_batch(system, model, rng, size,
+                                  explicit_nub=not tune)
+        compiled = compile_sweep(template, global_batch)
+        batch = BoundBatch(compiled, specs, tune_microbatches=tune,
+                           enforce_memory=True)
+
+        for attr, values_attr, key_fn, getter in self.TERM_ATTRS:
+            _assert_partition(getattr(batch, attr).tolist(),
+                              [key_fn(spec) for spec in specs])
+            values = getattr(batch, values_attr)
+            for spec, index in zip(specs, getattr(batch, attr).tolist()):
+                try:
+                    expected = getattr(compiled, getter)(spec)
+                except MappingError:
+                    expected = math.nan
+                np.testing.assert_array_equal(values[index], expected)
+        _assert_partition(batch._grad_idx.tolist(),
+                          [keys.gradient_key(spec) for spec in specs])
+        for spec, index in zip(specs, batch._grad_idx.tolist()):
+            pairs = compiled.gradient_pairs_for(spec)
+            for cls, grad in enumerate(batch._grad):
+                assert tuple(grad[index]) == pairs[cls]
+
+        lanes = _lanes(specs, global_batch, tune)
+        tuned = [specs[row].with_microbatches(n_ub) for row, n_ub in lanes]
+        assert batch.n_lanes == len(lanes)
+        assert batch._lane_spec.tolist() == [row for row, _ in lanes]
+        assert batch._lane_nub.tolist() == [n_ub for _, n_ub in lanes]
+        counts = [sum(1 for row, _ in lanes if row == index)
+                  for index in range(len(specs))]
+        assert batch._counts.tolist() == counts
+        assert batch._offsets.tolist() == [sum(counts[:index])
+                                           for index in range(len(specs))]
+        _assert_partition(batch._lane_eff_idx.tolist(),
+                          [keys.efficiency_key(spec) for spec in tuned])
+        _assert_partition(batch._lane_bub_idx.tolist(),
+                          [keys.bubble_key(spec) for spec in tuned])
+        for spec, eff_index, bub_index in zip(
+                tuned, batch._lane_eff_idx.tolist(),
+                batch._lane_bub_idx.tolist()):
+            assert batch._bub_vals[bub_index] == \
+                compiled.bubble_prefactor_for(*keys.bubble_key(spec))
+            try:
+                expected = compiled.efficiency_for(spec)
+            except MappingError:
+                assert not batch._eff_ok[eff_index]
+            else:
+                assert batch._eff_ok[eff_index]
+                assert batch._eff_vals[eff_index] == expected
+        assert batch._lane_fits.tolist() == [
+            compiled.fits_for(specs[row], n_ub) for row, n_ub in lanes]
+
+    def test_tables_fill_in_first_seen_order(self, template):
+        import random
+
+        from repro.search.compiler import CompiledSweep
+        rng = random.Random(PROJECTION_SEED)
+        specs = _projection_batch(template.system, template.model, rng,
+                                  200, explicit_nub=False)
+        compiled = CompiledSweep(template, GLOBAL_BATCH)  # unseeded
+        BoundBatch(compiled, specs, tune_microbatches=True,
+                   enforce_memory=True)
+        lanes = _lanes(specs, GLOBAL_BATCH, True)
+        tuned = [specs[row].with_microbatches(n_ub) for row, n_ub in lanes]
+
+        def first_seen(keys_in_order, table):
+            return [key for key in dict.fromkeys(keys_in_order)
+                    if key in table]
+
+        for table, key_fn in ((compiled._tp_intra, keys.tp_intra_key),
+                              (compiled._tp_inter, keys.tp_inter_key),
+                              (compiled._pp, keys.pp_key),
+                              (compiled._moe, keys.moe_key)):
+            assert list(table) == first_seen(map(key_fn, specs), table)
+        for _, _, grad_table, _, _ in compiled.classes:
+            assert list(grad_table) == first_seen(
+                map(keys.gradient_key, specs), grad_table)
+        assert list(compiled._eff) == first_seen(
+            map(keys.efficiency_key, tuned), compiled._eff)
+        assert list(compiled._bubble_prefactor) == first_seen(
+            map(keys.bubble_key, tuned), compiled._bubble_prefactor)
+        assert list(compiled._fits) == first_seen(
+            (_memory_key(specs[row], n_ub) for row, n_ub in lanes),
+            compiled._fits)
+        assert len(compiled._fits) == len(
+            {_memory_key(specs[row], n_ub) for row, n_ub in lanes})
+
+    def test_one_call_per_distinct_key(self, template, monkeypatch):
+        import random
+        from collections import defaultdict
+
+        from repro.search.compiler import CompiledSweep
+        rng = random.Random(PROJECTION_SEED + 1)
+        specs = _projection_batch(template.system, template.model, rng,
+                                  200, explicit_nub=False)
+        compiled = CompiledSweep(template, GLOBAL_BATCH)
+        calls = defaultdict(list)
+
+        def counted(name, key_of):
+            real = getattr(compiled, name)
+
+            def wrapper(*args):
+                calls[name].append(key_of(*args))
+                return real(*args)
+            monkeypatch.setattr(compiled, name, wrapper)
+
+        counted("efficiency_for", keys.efficiency_key)
+        counted("bubble_prefactor_for", lambda *key: key)
+        counted("tp_intra_for", keys.tp_intra_key)
+        counted("tp_inter_for", keys.tp_inter_key)
+        counted("pp_for", keys.pp_key)
+        counted("moe_for", keys.moe_key)
+        counted("gradient_pairs_for", keys.gradient_key)
+        counted("compute_triples_for", lambda eff: eff)
+        counted("fits_for", _memory_key)
+        real_grid = vectorized_module.candidate_microbatch_counts
+
+        def grid(spec, global_batch):
+            calls["grid"].append((spec.dp, spec.pp))
+            return real_grid(spec, global_batch)
+        monkeypatch.setattr(vectorized_module,
+                            "candidate_microbatch_counts", grid)
+
+        BoundBatch(compiled, specs, tune_microbatches=True,
+                   enforce_memory=True)
+        lanes = _lanes(specs, GLOBAL_BATCH, True)
+        tuned = [specs[row].with_microbatches(n_ub) for row, n_ub in lanes]
+        expected = {
+            "grid": {(spec.dp, spec.pp) for spec in specs},
+            "efficiency_for": set(map(keys.efficiency_key, tuned)),
+            "bubble_prefactor_for": set(map(keys.bubble_key, tuned)),
+            "tp_intra_for": set(map(keys.tp_intra_key, specs)),
+            "tp_inter_for": set(map(keys.tp_inter_key, specs)),
+            "pp_for": set(map(keys.pp_key, specs)),
+            "moe_for": set(map(keys.moe_key, specs)),
+            "gradient_pairs_for": set(map(keys.gradient_key, specs)),
+            "fits_for": {_memory_key(specs[row], n_ub)
+                         for row, n_ub in lanes},
+        }
+        for name, distinct in expected.items():
+            assert len(calls[name]) == len(distinct), name
+            assert set(calls[name]) == distinct, name
+        # Compute triples: once per efficiency key whose microbatch
+        # holds at least one sequence.
+        assert len(calls["compute_triples_for"]) == len(
+            calls["efficiency_for"]) - sum(
+            GLOBAL_BATCH < dp * n_ub for dp, n_ub in
+            expected["efficiency_for"])
+
+    def test_codes_never_overflow(self):
+        """Ranks whose spans would overflow int64 are composed digit by
+        digit, re-ranked on the way; the classes stay exact."""
+        radix = 2 ** 40
+        ranks = np.array([(0, 1, 2, 3), (radix - 1, 0, 0, 3),
+                          (0, 1, 2, 3), (radix - 1, 0, 1, 3)],
+                         dtype=np.int64)
+        keys = ((0, 1, 2, 3), (3, 0))
+        assert radix ** 4 * len(keys) > vectorized_module._CODE_LIMIT
+        codes, span = vectorized_module._codes(np, ranks, radix, keys)
+        assert span * len(keys) <= vectorized_module._CODE_LIMIT
+        (ids, firsts), (pairs, pair_firsts) = vectorized_module._classes(
+            np, codes, span)
+        assert ids.tolist() == [0, 1, 0, 2]
+        assert firsts.tolist() == [0, 1, 3]
+        assert pairs.tolist() == [0, 1, 0, 1]
+        assert pair_firsts.tolist() == [0, 1]
 
 
 class TestBatchedReductions:
