@@ -8,9 +8,6 @@ runs the genuine ``amped calibrate`` CLI over it, and asserts that the
 fitter recovers every coefficient within ``TOLERANCE`` relative and
 that the recalibrated model reports healthy drift.
 
-Works with or without NumPy installed (the fitter falls back to its
-pure-python solver), so the no-numpy CI leg runs the same script.
-
 Usage: ``python scripts/calibration_smoke.py`` (run from the repo
 root; falls back to ``src/`` if ``repro`` is not installed).  Exits
 non-zero on the first failed check.

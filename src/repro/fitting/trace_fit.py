@@ -19,10 +19,7 @@ The solver is a damped Gauss–Newton iteration on the **relative**
 per-term residuals, run in log-parameter space (every coefficient is
 positive, and log-space makes the step scale-free across ``a`` ~ 1 and
 ``b`` ~ 40).  The Jacobian is numeric (central differences); the normal
-equations are solved with NumPy when it is installed (the same optional
-dependency as the ``vectorized`` sweep backend) and with a pure-python
-Gaussian elimination otherwise — both produce the same fit to solver
-tolerance, which the no-numpy CI leg checks.
+equations are solved with NumPy.
 
 The result reports per-term residuals, R², parameter standard errors
 (Gauss–Newton covariance), and *identifiability* diagnostics: the
@@ -40,19 +37,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.model import AMPeD
 from repro.errors import ConfigurationError, require_finite_fields
 from repro.hardware.catalog_io import derated_system
 from repro.obs.ingest import TERM_NAMES, EstimateObservation
 from repro.obs.trace import span
 from repro.parallelism.microbatch import MicrobatchEfficiency
-
-try:  # Optional extra, mirroring repro.search.vectorized.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy leg
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Every coefficient the fitter knows, in report order.
 FIT_PARAMETERS: Tuple[str, ...] = (
@@ -239,7 +231,7 @@ def fit_from_observations(base: AMPeD,
               attrs={"parameters": ",".join(fitted),
                      "n_observations": len(observations),
                      "n_residuals": len(pairs),
-                     "backend": "numpy" if HAVE_NUMPY else "python"}):
+                     "backend": "numpy"}):
         return _fit(base, observations, fitted, pairs,
                     max_iterations, tolerance)
 
@@ -363,13 +355,13 @@ def _fit(base: AMPeD, observations: Sequence[EstimateObservation],
         condition_number=condition,
         stderr=stderr,
         warnings=warnings,
-        backend="numpy" if HAVE_NUMPY else "python",
+        backend="numpy",
         n_observations=len(observations),
     )
 
 
 # ---------------------------------------------------------------------------
-# Numerics (NumPy fast path + pure-python fallback)
+# Numerics
 # ---------------------------------------------------------------------------
 
 
@@ -399,29 +391,17 @@ def _solve_normal_equations(jacobian: List[List[float]],
                             residuals: List[float],
                             damping: float) -> List[float]:
     """Solve ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀ r`` (Levenberg damping)."""
-    n = len(jacobian[0])
-    if HAVE_NUMPY:
-        j = _np.asarray(jacobian, dtype=_np.float64)
-        r = _np.asarray(residuals, dtype=_np.float64)
-        jtj = j.T @ j
-        if damping:
-            jtj = jtj + damping * _np.diag(_np.maximum(
-                _np.diag(jtj), 1e-30))
-        rhs = -(j.T @ r)
-        try:
-            return list(_np.linalg.solve(jtj, rhs))
-        except _np.linalg.LinAlgError as error:
-            raise ConfigurationError(
-                f"normal equations are singular ({error})") from None
-    jtj = [[sum(jacobian[k][i] * jacobian[k][j]
-                for k in range(len(jacobian)))
-            for j in range(n)] for i in range(n)]
+    j = np.asarray(jacobian, dtype=np.float64)
+    r = np.asarray(residuals, dtype=np.float64)
+    jtj = j.T @ j
     if damping:
-        for i in range(n):
-            jtj[i][i] += damping * max(jtj[i][i], 1e-30)
-    rhs = [-sum(jacobian[k][i] * residuals[k]
-                for k in range(len(jacobian))) for i in range(n)]
-    return _solve_linear(jtj, rhs)
+        jtj = jtj + damping * np.diag(np.maximum(np.diag(jtj), 1e-30))
+    rhs = -(j.T @ r)
+    try:
+        return list(np.linalg.solve(jtj, rhs))
+    except np.linalg.LinAlgError as error:
+        raise ConfigurationError(
+            f"normal equations are singular ({error})") from None
 
 
 def _solve_linear(matrix: List[List[float]],
@@ -449,37 +429,6 @@ def _solve_linear(matrix: List[List[float]],
     return solution
 
 
-def _symmetric_eigenvalues(matrix: List[List[float]],
-                           sweeps: int = 50) -> List[float]:
-    """Eigenvalues of a small symmetric matrix (cyclic Jacobi)."""
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    for _ in range(sweeps):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(n)
-                            for j in range(n) if i != j))
-        if off < 1e-300:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p][q] == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(
-                    1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)),
-                    theta) if theta != 0 else 1.0
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    return [a[i][i] for i in range(n)]
-
-
 def _condition_number(jacobian: List[List[float]], n: int,
                       fitted: Tuple[str, ...],
                       warnings: List[str]) -> float:
@@ -496,27 +445,15 @@ def _condition_number(jacobian: List[List[float]], n: int,
                 f"parameter {name!r} has no measurable effect on the "
                 f"aligned terms (zero Jacobian column) — it is not "
                 f"identifiable from this data")
-    if HAVE_NUMPY:
-        singular = _np.linalg.svd(
-            _np.asarray(jacobian, dtype=_np.float64),
-            compute_uv=False)
-        smallest = float(singular[-1])
-        if smallest == 0.0:
-            condition = math.inf  # amplint: disable=AMP003 — reporting value: zero singular value = unidentifiable direction
-        else:
-            condition = float(singular[0]) / smallest
+    singular = np.linalg.svd(np.asarray(jacobian, dtype=np.float64),
+                             compute_uv=False)
+    # An m x n Jacobian has only min(m, n) singular values; with fewer
+    # residuals than parameters the missing ones are zero.
+    smallest = float(singular[-1]) if len(jacobian) >= n else 0.0
+    if smallest == 0.0:
+        condition = math.inf  # amplint: disable=AMP003 — reporting value: zero singular value = unidentifiable direction
     else:
-        jtj = [[sum(jacobian[k][i] * jacobian[k][j]
-                    for k in range(len(jacobian)))
-                for j in range(n)] for i in range(n)]
-        eigenvalues = [max(value, 0.0)
-                       for value in _symmetric_eigenvalues(jtj)]
-        largest_eig = max(eigenvalues)
-        smallest_eig = min(eigenvalues)
-        if smallest_eig <= 0.0:
-            condition = math.inf  # amplint: disable=AMP003 — reporting value: zero eigenvalue = unidentifiable direction
-        else:
-            condition = math.sqrt(largest_eig / smallest_eig)
+        condition = float(singular[0]) / smallest
     if condition > CONDITION_WARNING_THRESHOLD:
         warnings.append(
             f"ill-conditioned fit (condition number {condition:.2e}) — "

@@ -654,62 +654,6 @@ class CompiledSweep:
             self._moe[key] = value
         return value
 
-    # -- incremental sweep deltas (cache seeding) ------------------------------
-
-    def seed_from(self, donor: "CompiledSweep") -> int:
-        """Adopt provably bit-identical table entries from ``donor``.
-
-        The incremental-delta path behind the serve daemon: when only
-        the model (or only the system) changes between requests, many
-        per-term tables of a previously compiled sweep remain valid
-        for the new one, so a fresh build can start warm instead of
-        cold.  Only entries whose producing inputs are *equal* are
-        copied:
-
-        - bubble prefactors always (a pure function of the key),
-        - efficiency entries when the donor shares the global batch
-          and the efficiency model (system changes keep these),
-        - per-class compute triples when the donor shares the model,
-          global batch, embedding handling, accelerator, precision
-          and compute multipliers (system link/topology changes keep
-          these).
-
-        Communication tables are never seeded — their values depend on
-        the full system + topology identity, which is exactly what a
-        delta request changes.  Existing entries are never
-        overwritten, and the adopted entries do not count as misses,
-        so hit-rate gauges reflect the avoided reference calls.
-        Returns the number of entries adopted.
-        """
-        adopted = 0
-        for key, value in list(donor._bubble_prefactor.items()):
-            if key not in self._bubble_prefactor:
-                self._bubble_prefactor[key] = value
-                adopted += 1
-        if (donor.global_batch == self.global_batch
-                and donor.efficiency == self.efficiency):
-            for key, eff in list(donor._eff.items()):
-                if key not in self._eff:
-                    self._eff[key] = eff
-                    adopted += 1
-        if (donor.model == self.model
-                and donor.global_batch == self.global_batch
-                and donor.include_embeddings == self.include_embeddings
-                and donor.accelerator == self.accelerator
-                and donor.precision == self.precision
-                and donor.backward_compute_multiplier
-                == self.backward_compute_multiplier
-                and donor.optimizer_macs_per_parameter
-                == self.optimizer_macs_per_parameter
-                and len(donor.classes) == len(self.classes)):
-            for (_, _, _, _, mine), (_, _, _, _, theirs) in zip(
-                    self.classes, donor.classes):
-                for eff, triple in list(theirs.items()):
-                    if eff not in mine:
-                        mine[eff] = triple
-                        adopted += 1
-        return adopted
-
     def stats(self) -> Dict[str, int]:
         """Table sizes and hit-rate counters for ``cache.compiled.*``."""
         entries = (len(self._eff) + len(self._tp_intra)
@@ -744,8 +688,7 @@ def _total_of(totals: tuple) -> float:
 _CACHE_LOCK = threading.Lock()
 _CACHE: "OrderedDict[tuple, CompiledSweep]" = OrderedDict()
 _STATS = {"builds": 0, "hits": 0, "misses": 0, "uncached": 0,
-          "installed": 0, "seeded_builds": 0, "seeded_entries": 0,
-          "fetched_peer": 0}
+          "installed": 0, "fetched_peer": 0}
 
 #: Optional cross-process sweep exchange, installed by the multi-worker
 #: serve daemon: ``fetch(cache_key)`` may return a peer worker's
@@ -803,23 +746,6 @@ if hasattr(os, "register_at_fork"):  # absent on some platforms
     os.register_at_fork(after_in_child=_reset_cache_lock_after_fork)
 
 
-def _seed_new_build(compiled: CompiledSweep) -> None:
-    """Seed a freshly built sweep from the cached ones (incremental
-    sweep deltas).  Most-recently-used donors are consulted first;
-    because :meth:`CompiledSweep.seed_from` never overwrites, the
-    freshest cached value wins for every shared key."""
-    with _CACHE_LOCK:
-        donors = [cached for cached in _CACHE.values()
-                  if cached is not compiled]
-    adopted = 0
-    for donor in reversed(donors):
-        adopted += compiled.seed_from(donor)
-    if adopted:
-        with _CACHE_LOCK:
-            _STATS["seeded_builds"] += 1
-            _STATS["seeded_entries"] += adopted
-
-
 def compile_sweep(template: "AMPeD", global_batch: int) -> CompiledSweep:
     """The compiled sweep for ``(template, global_batch)``.
 
@@ -836,9 +762,7 @@ def compile_sweep(template: "AMPeD", global_batch: int) -> CompiledSweep:
         with _CACHE_LOCK:
             _STATS["uncached"] += 1
             _STATS["builds"] += 1
-        compiled = CompiledSweep(template, global_batch)
-        _seed_new_build(compiled)
-        return compiled
+        return CompiledSweep(template, global_batch)
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
         if cached is not None:
@@ -856,7 +780,6 @@ def compile_sweep(template: "AMPeD", global_batch: int) -> CompiledSweep:
         return fetched
     compiled = CompiledSweep(template, global_batch)
     compiled.cache_key = key
-    _seed_new_build(compiled)
     with _CACHE_LOCK:
         _STATS["builds"] += 1
         _CACHE[key] = compiled

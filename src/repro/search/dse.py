@@ -11,10 +11,9 @@ Two performance levers keep large spaces interactive (see
 - **The sweep compiler** (``evaluation_path="compiled"``, the default):
   Eq. 1 is factored into per-term lookup tables shared across the whole
   sweep (:mod:`repro.search.compiler`); evaluating a candidate becomes
-  key projection + table lookups + additions.  With NumPy installed
-  the same tables run as one array program over each candidate chunk
-  (:mod:`repro.search.vectorized`), in this process; without it, as a
-  pure-python walk.  The per-layer loop
+  key projection + table lookups + additions.  A sweep runs the same
+  tables as one NumPy array program over each candidate chunk
+  (:mod:`repro.search.vectorized`), in this process.  The per-layer loop
   (``evaluation_path="per_layer"``) stays as the reference.
 - **Branch-and-bound pruning** (``prune=True``): an admissible
   compute + communication lower bound — the compiled term tables
@@ -163,9 +162,8 @@ def explore(amped: AMPeD, global_batch: int,
     evaluation_path:
         How each candidate evaluates Eq. 1 — overrides the template's
         own setting.  ``"compiled"`` (default) reads the sweep
-        compiler's term tables: whenever NumPy imports it runs as the
-        ``"vectorized"`` array program over each candidate chunk,
-        otherwise as the pure-python scalar walk (see
+        compiler's term tables and runs as the ``"vectorized"`` array
+        program over each candidate chunk (see
         :func:`repro.search.vectorized.resolve_evaluation_path`).
         ``"per_layer"`` keeps the uncompiled reference walk.  All paths
         agree within floating-point associativity (compiled and

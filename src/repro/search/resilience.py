@@ -27,11 +27,11 @@ themselves:
 
 Every sweep runs in this process through one chunk loop, which
 :func:`~repro.search.dse.explore` shares.  Each chunk gets its pruner
-bounds, and with NumPy its candidate outcomes as one array program
-(the memory screen is a lane mask there), from
+bounds, and its candidate outcomes as one array program (the memory
+screen is a lane mask there), from
 :func:`~repro.search.vectorized.evaluate_chunk`; whatever the arrays
-leave undecided, and every candidate of a ``per_layer``, custom
-``evaluate`` or NumPy-less sweep, is evaluated one by one.  Coverage
+leave undecided, and every candidate of a ``per_layer`` or custom
+``evaluate`` sweep, is evaluated one by one.  Coverage
 accounting is surfaced as a :class:`~repro.reporting.sweep.SweepReport`;
 ``docs/robustness.md`` documents the journal schema.
 """
@@ -79,7 +79,6 @@ from repro.search.dse import (
 from repro.search.vectorized import (
     DEFAULT_CHUNK_CANDIDATES,
     evaluate_chunk,
-    require_numpy,
     resolve_evaluation_path,
 )
 
@@ -434,8 +433,8 @@ def run_sweep(template: AMPeD, global_batch: int,
         How each candidate evaluates Eq. 1 (``"compiled"`` default;
         see :func:`repro.search.dse.explore`) — overrides the
         template's own setting.  ``"compiled"`` runs as
-        ``"vectorized"`` whenever NumPy is importable, unless a custom
-        ``evaluate`` takes every candidate.  Recorded in the journal header for
+        ``"vectorized"``, unless a custom ``evaluate`` takes every
+        candidate.  Recorded in the journal header for
         provenance but *not* part of the resume identity: every path
         produces the same ranking and skip categories, so a journal
         written under one path resumes deterministically under another.
@@ -444,13 +443,7 @@ def run_sweep(template: AMPeD, global_batch: int,
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None
-    if custom_evaluate:
-        # A custom evaluator replaces the array outcomes: an explicit
-        # request still validates NumPy, but every unpruned candidate
-        # goes through ``evaluate``.
-        if evaluation_path == "vectorized":
-            require_numpy()
-    else:
+    if not custom_evaluate:
         evaluation_path = resolve_evaluation_path(evaluation_path,
                                                   len(mappings))
     if evaluation_path != template.evaluation_path:

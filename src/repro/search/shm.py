@@ -31,7 +31,7 @@ This module publishes them instead into POSIX shared memory
   mappings but never its *ownership*: an ``os.register_at_fork`` reset
   clears the child's registry view and rebinds the module lock, per
   the AMP203 concurrency contract.
-- **Transparent fallback.**  Without NumPy or a usable
+- **Transparent fallback.**  Without a usable
   ``multiprocessing.shared_memory`` (``HAVE_SHM`` is False),
   :func:`ship_compiled` returns the compiled sweep unchanged, so every
   caller falls back to the pickle path with identical (bit-exact)
@@ -56,21 +56,18 @@ import struct
 import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 try:  # Optional: absent or unusable on exotic platforms.
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platform without POSIX shm
     _shared_memory = None  # type: ignore[assignment]
 
-try:  # Optional extra: repro[vectorized].
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
     from repro.search.compiler import CompiledSweep
 
 #: Whether shared-memory publication is available in this process.
-HAVE_SHM = _shared_memory is not None and _np is not None
+HAVE_SHM = _shared_memory is not None
 
 #: Format tag written into every segment header.
 SHM_FORMAT = "repro.search.shm/v1"
@@ -298,9 +295,9 @@ class SegmentHandle:
                     blobs[entry["key"]] = bytes(
                         buf[offset:offset + entry["nbytes"]])
                 else:
-                    view = _np.frombuffer(
-                        buf, dtype=_np.dtype(entry["dtype"]),
-                        count=int(_np.prod(entry["shape"], dtype=_np.int64)),
+                    view = np.frombuffer(
+                        buf, dtype=np.dtype(entry["dtype"]),
+                        count=int(np.prod(entry["shape"], dtype=np.int64)),
                         offset=offset).reshape(entry["shape"])
                     view.flags.writeable = False
                     arrays[entry["key"]] = view
@@ -327,8 +324,7 @@ def publish_segment(tag: str,
     if not HAVE_SHM:
         raise RuntimeError(
             "shared memory is unavailable (no multiprocessing."
-            "shared_memory or no NumPy); use the pickle fallback")
-    np = _np
+            "shared_memory); use the pickle fallback")
     entries = []
     payloads: List[Tuple[int, object]] = []
     arrays = dict(arrays or {})
@@ -493,7 +489,6 @@ def ship_compiled(compiled: "CompiledSweep") -> object:
     """
     if not HAVE_SHM:
         return compiled
-    np = _np
     try:
         tag = shm_digest(compiled.cache_key
                          if compiled.cache_key is not None

@@ -38,14 +38,11 @@ compiled sweep's memory screen, one
 ``(tp, pp, dp, N_ub)``, restricts the lanes ``best_microbatch`` picks
 from and leaves the lower bound alone.
 
-NumPy is an **optional** dependency.  With it installed,
 :func:`resolve_evaluation_path` routes every default ``"compiled"``
 sweep to this backend; ``run_sweep`` (and ``explore``, which calls it)
 runs it in this process, chunk by chunk through :func:`evaluate_chunk`.
-Without NumPy, sweeps run on the pure-python ``"compiled"`` path, and
-an explicit request for ``evaluation_path="vectorized"`` raises a
-:class:`~repro.errors.ConfigurationError`.  See ``docs/performance.md``
-for the key-index layout and the full bit-exactness argument.
+See ``docs/performance.md`` for the key-index layout and the full
+bit-exactness argument.
 """
 
 from __future__ import annotations
@@ -57,23 +54,17 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, MappingError
+import numpy as np
+
+from repro.errors import MappingError
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.compiler import COMPONENT_NAMES, CompiledSweep
 from repro.search.tuning import candidate_microbatch_counts
 
-try:  # Optional extra: repro[vectorized].
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
     from repro.core.model import AMPeD
     from repro.search.dse import CandidateOutcome
-
-#: Whether the NumPy backend is importable in this process.
-HAVE_NUMPY = _np is not None
 
 #: Candidates evaluated per array batch inside ``run_sweep`` — bounds
 #: array memory and keeps the journal/SIGINT boundary responsive.
@@ -112,33 +103,13 @@ _GRID_ROW = (_DP, _PP)
 _TABLE_ROWS = ((_DP, _PP, _R), (_DP, _PP, _R, _TP))
 
 
-def require_numpy() -> None:
-    """Raise :class:`ConfigurationError` when NumPy is unavailable.
-
-    The message names the remedy and the fallback; the CLI surfaces it
-    with exit code 2 like every other configuration error.
-    """
-    if not HAVE_NUMPY:
-        raise ConfigurationError(
-            "evaluation_path='vectorized' requires NumPy, an optional "
-            "dependency (pip install numpy, or the repro[vectorized] "
-            "extra); without it use the pure-python 'compiled' path, "
-            "which is the default fallback")
-
-
 def resolve_evaluation_path(requested: str, n_candidates: int) -> str:
     """The evaluation path a sweep should actually run.
 
-    An explicit ``"vectorized"`` request validates that NumPy is
-    importable (raising otherwise — never a silent downgrade); a
-    default ``"compiled"`` request runs on the NumPy backend whenever
-    NumPy imports, at any ``n_candidates``.  Everything else passes
-    through untouched.
+    A default ``"compiled"`` request runs on the NumPy backend, at any
+    ``n_candidates``.  Everything else passes through untouched.
     """
-    if requested == "vectorized":
-        require_numpy()
-        return requested
-    if requested == "compiled" and HAVE_NUMPY:
+    if requested == "compiled":
         return "vectorized"
     return requested
 
@@ -167,9 +138,7 @@ def vectorized_stats() -> Dict[str, float]:
     """Cumulative binder statistics: batches bound, table build time,
     array bytes, lanes evaluated (``cache.vectorized.*`` gauges)."""
     with _STATS_LOCK:
-        stats = dict(_STATS)
-    stats["available"] = 1 if HAVE_NUMPY else 0
-    return stats
+        return dict(_STATS)
 
 
 def clear_vectorized_stats() -> None:
@@ -213,9 +182,7 @@ class BoundBatch:
                  specs: Sequence[ParallelismSpec],
                  tune_microbatches: bool = False,
                  enforce_memory: bool = False) -> None:
-        require_numpy()
         started = time.perf_counter()
-        np = _np
         self.compiled = compiled
         self.specs: List[ParallelismSpec] = list(specs)
         self.tune_microbatches = tune_microbatches
@@ -259,10 +226,10 @@ class BoundBatch:
         block = np.concatenate(
             [degrees[:, :7], totals, np.minimum(degrees[:, 2:4], 2),
              ratio.view(np.int64).reshape(n, 1), degrees[:, 7:]], axis=1)
-        ranks, radix = _rerank(np, block)
+        ranks, radix = _rerank(block)
         n_lane_keys = 3 if enforce_memory else 2
-        spec_classes = _classes(np, *_codes(
-            np, ranks, radix, _TERM_KEY_ROWS + (
+        spec_classes = _classes(*_codes(
+            ranks, radix, _TERM_KEY_ROWS + (
                 (_GRID_ROW, _TABLE_ROWS[enforce_memory]) if tune_microbatches
                 else _LANE_KEY_ROWS[:n_lane_keys])))
         ((self._tpi_idx, tpi_first), (self._tpx_idx, tpx_first),
@@ -283,19 +250,19 @@ class BoundBatch:
                             dtype=np.int64).reshape(-1)
             self._counts = lengths[grid_of]
             self._lane_spec, lane_slot, self._offsets = _expand(
-                np, self._counts)
+                self._counts)
             # The lane keys are classified on a table of (row class x
             # grid slot) entries, laid out in first-seen lane order.
             row_grid = grid_of[row_first]
-            rows, slot, starts = _expand(np, lengths[row_grid])
+            rows, slot, starts = _expand(lengths[row_grid])
             entry_spec = row_first[rows]
             entry_nub = nubs[row_grid[rows] * slots + slot]
             lane_entry = starts[row_of[self._lane_spec]] + lane_slot
             self._lane_nub = entry_nub[lane_entry]
-            nub_ranks, nub_radix = _rerank(np, entry_nub)
-            lane_classes = _classes(np, *_codes(
-                np, np.concatenate([ranks[entry_spec], nub_ranks[:, None]],
-                                   axis=1),
+            nub_ranks, nub_radix = _rerank(entry_nub)
+            lane_classes = _classes(*_codes(
+                np.concatenate([ranks[entry_spec], nub_ranks[:, None]],
+                               axis=1),
                 max(radix, nub_radix), _LANE_KEY_ROWS[:n_lane_keys]))
             lane_keys = [(ids[lane_entry], entry_spec[first],
                           entry_nub[first]) for ids, first in lane_classes]
@@ -341,10 +308,10 @@ class BoundBatch:
             for row, n_ub in zip(bub_rows.tolist(), bub_nubs.tolist())],
             dtype=np.float64)
 
-        self._tpi_vals = _fill(np, specs, tpi_first, compiled.tp_intra_for)
-        self._tpx_vals = _fill(np, specs, tpx_first, compiled.tp_inter_for)
-        self._pp_vals = _fill(np, specs, pp_first, compiled.pp_for)
-        self._moe_vals = _fill(np, specs, moe_first, compiled.moe_for)
+        self._tpi_vals = _fill(specs, tpi_first, compiled.tp_intra_for)
+        self._tpx_vals = _fill(specs, tpx_first, compiled.tp_inter_for)
+        self._pp_vals = _fill(specs, pp_first, compiled.pp_for)
+        self._moe_vals = _fill(specs, moe_first, compiled.moe_for)
 
         # Per-class value arrays are column views of one array per table.
         n_classes = len(compiled.classes)
@@ -352,11 +319,11 @@ class BoundBatch:
                          else compiled.compute_triples_for(float(eff))
                          for eff in effs], dtype=np.float64)
         self._comp = list(comp.reshape(-1, n_classes, 3).swapaxes(0, 1))
-        grad = _fill(np, specs, grad_first, compiled.gradient_pairs_for,
+        grad = _fill(specs, grad_first, compiled.gradient_pairs_for,
                      [(math.nan, math.nan)] * n_classes)
         self._grad = list(grad.reshape(-1, n_classes, 2).swapaxes(0, 1))
         self._zero = (list(_fill(
-            np, specs, grad_first, compiled.zero_gathers_for,
+            specs, grad_first, compiled.zero_gathers_for,
             [math.nan] * n_classes).reshape(-1, n_classes).T)
             if self._explicit_zero else None)
 
@@ -381,10 +348,10 @@ class BoundBatch:
         """Total bytes held by the batch's dense arrays."""
         total = 0
         for value in vars(self).values():
-            if isinstance(value, _np.ndarray):
+            if isinstance(value, np.ndarray):
                 total += value.nbytes
             elif (isinstance(value, list) and value
-                  and isinstance(value[0], _np.ndarray)):
+                  and isinstance(value[0], np.ndarray)):
                 total += sum(item.nbytes for item in value)
         return total
 
@@ -398,7 +365,6 @@ class BoundBatch:
         combiner's.  ``bub_idx`` is ``None`` for the no-bubble (lower
         bound) evaluation, where the scalar path pins ``pref = 0.0``.
         """
-        np = _np
         exposed = self._exposed
         bcr = self._bcr
         scale = 1.0 + bcr
@@ -475,7 +441,6 @@ class BoundBatch:
     def _components_chunked(self, rows, eff_idx, bub_idx) -> tuple:
         """:meth:`_components` over :data:`_EVAL_CHUNK_LANES`-sized
         slices, concatenated into full-length component arrays."""
-        np = _np
         n = rows.shape[0]
         if n <= _EVAL_CHUNK_LANES:
             return self._components(rows, eff_idx, bub_idx)
@@ -513,8 +478,8 @@ class BoundBatch:
         """Batch time per lane; NaN marks an infeasible microbatch."""
         if self._lane_times_cache is None:
             totals = self._totals_of(self.lane_components())
-            self._lane_times_cache = _np.where(
-                self._lane_ok, totals, _np.nan)
+            self._lane_times_cache = np.where(
+                self._lane_ok, totals, np.nan)
         return self._lane_times_cache
 
     # -- per-candidate reductions ----------------------------------------------
@@ -532,7 +497,6 @@ class BoundBatch:
         exact error semantics.  A batch bound with ``enforce_memory``
         picks only among lanes that pass the memory screen.
         """
-        np = _np
         if not self.specs:
             empty = np.empty(0)
             return empty, np.empty(0, dtype=np.intp), \
@@ -560,7 +524,6 @@ class BoundBatch:
         efficiency across the candidate's lanes (a segmented max), then
         the no-bubble combine at that efficiency.
         """
-        np = _np
         if not self.specs:
             return np.empty(0)
         eff_lane = np.where(self._lane_ok,
@@ -580,7 +543,7 @@ class BoundBatch:
         return np.where(feasible, bounds, np.nan)
 
 
-def _fill(np, specs: List[ParallelismSpec], rows, getter,
+def _fill(specs: List[ParallelismSpec], rows, getter,
           failed: object = math.nan):
     """Dense values of one table: one accessor call per distinct key,
     on its class's first spec ``specs[row]``; a key whose reference
@@ -599,7 +562,7 @@ def _fill(np, specs: List[ParallelismSpec], rows, getter,
 _CODE_LIMIT = 1 << 62
 
 
-def _codes(np, ranks, radix: int, keys) -> tuple:
+def _codes(ranks, radix: int, keys) -> tuple:
     """``(codes, span)``: per key, a row of int64 codes below ``span``
     reading the key's ``ranks`` columns as base-``radix`` digits.  One
     matrix product while the spans fit :data:`_CODE_LIMIT`, else digit
@@ -616,19 +579,19 @@ def _codes(np, ranks, radix: int, keys) -> tuple:
         code, span = ranks[:, key[0]], radix
         for column in key[1:]:
             if span * radix > _CODE_LIMIT:
-                code, span = _rerank(np, code)
+                code, span = _rerank(code)
             code, span = code * radix + ranks[:, column], span * radix
-        codes.append(_rerank(np, code)[0])
+        codes.append(_rerank(code)[0])
     return np.stack(codes), max(1, ranks.shape[0])
 
 
-def _rerank(np, values) -> tuple:
+def _rerank(values) -> tuple:
     """``(dense ranks of values, shaped like values; their span)``."""
     distinct, ranks = np.unique(values, return_inverse=True)
     return ranks.reshape(values.shape), max(1, distinct.shape[0])
 
 
-def _classes(np, codes, span: int) -> list:
+def _classes(codes, span: int) -> list:
     """Equality classes of each row of ``codes`` (one key per row, codes
     below ``span``), from one ``np.unique`` over the rows tagged into
     disjoint ranges: per key ``(ids, firsts)``, ``ids[i]`` column ``i``'s
@@ -652,7 +615,7 @@ def _classes(np, codes, span: int) -> list:
             for key in range(n_keys)]
 
 
-def _expand(np, counts) -> tuple:
+def _expand(counts) -> tuple:
     """``(rows, slots, starts)``: row ``r`` repeated ``counts[r]`` times,
     each copy's slot ``0..counts[r]-1``, and where each row starts."""
     starts = np.cumsum(counts) - counts
@@ -664,7 +627,6 @@ class VectorizedSweep:
     """Thin façade binding candidate batches against one compiled sweep."""
 
     def __init__(self, compiled: CompiledSweep) -> None:
-        require_numpy()
         self.compiled = compiled
 
     def bind(self, specs: Sequence[ParallelismSpec],
@@ -686,8 +648,7 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
                               List[Optional["CandidateOutcome"]]]:
     """Evaluate one candidate chunk into pruner bounds and outcomes.
 
-    Validates ``specs``, then (with NumPy) projects and batch-fills
-    them and evaluates them as one array program.  Returns
+    Validates ``specs``, then projects and batch-fills them and evaluates them as one array program.  Returns
     ``(bounds, outcomes)``: ``bounds`` is the pruner bound per
     candidate (NaN = provably infeasible; ``None`` when not requested),
     and ``outcomes`` holds one
@@ -699,11 +660,8 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
     With ``enforce_memory`` the memory screen masks the lanes, and a
     candidate none of whose lanes fits is a ``memory_capacity`` skip
     (untuned, only once its microbatch holds a sequence, as in the
-    scalar route).
-
-    Array outcomes need NumPy and a compiled template; otherwise every
-    outcome is ``None``, and bounds come from
-    :meth:`CompiledSweep.lower_bound` per candidate.
+    scalar route).  A ``per_layer`` template gets bounds only; every
+    outcome is then ``None``.
     """
     from repro.core.breakdown import TrainingTimeBreakdown
     from repro.errors import ReproError
@@ -731,15 +689,6 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
     arrays = template.evaluation_path != "per_layer"
     if not valid or not (arrays or need_bounds):
         return bounds, outcomes
-    if not HAVE_NUMPY:
-        if bounds is not None:
-            for index in valid:
-                try:
-                    bounds[index] = compiled.lower_bound(
-                        specs[index], tune_microbatches)
-                except MappingError:
-                    pass  # stays NaN: no feasible microbatch count
-        return bounds, outcomes
     batch = BoundBatch(compiled, [specs[i] for i in valid],
                        tune_microbatches, enforce_memory and arrays)
 
@@ -753,7 +702,7 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
     picks_list = picks.tolist()
     feasible_list = feasible.tolist()
     nubs = batch._lane_nub.tolist()
-    fits_list = (_np.logical_or.reduceat(batch._lane_fits, batch._offsets)
+    fits_list = (np.logical_or.reduceat(batch._lane_fits, batch._offsets)
                  .tolist() if enforce_memory else None)
     # Untuned, lane j is candidate j, sized before its memory check.
     sized_list = batch._lane_ok.tolist() if enforce_memory else None

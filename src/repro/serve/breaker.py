@@ -28,7 +28,6 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
-from repro.search.vectorized import HAVE_NUMPY
 
 #: The degradation ladder, best rung first.  Each rung names the
 #: coarse serving mode; :data:`RUNG_EVALUATION_PATHS` maps it to the
@@ -50,9 +49,7 @@ _STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 class DegradationLadder:
     """Current evaluation rung, stepped by the circuit breaker."""
 
-    def __init__(self, start: Optional[str] = None) -> None:
-        if start is None:
-            start = "vectorized" if HAVE_NUMPY else "compiled"
+    def __init__(self, start: str = "vectorized") -> None:
         if start not in LADDER_RUNGS:
             raise ConfigurationError(
                 f"degradation rung must be one of {LADDER_RUNGS}, "

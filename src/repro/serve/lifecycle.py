@@ -61,7 +61,7 @@ from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.parallelism.spec import spec_from_totals
 from repro.search.compiler import compile_sweep, compiled_cache_stats
 from repro.search.dse import evaluate_candidate
-from repro.search.vectorized import HAVE_NUMPY, evaluate_chunk
+from repro.search.vectorized import evaluate_chunk
 from repro.serve.breaker import (
     RUNG_EVALUATION_PATHS,
     CircuitBreaker,
@@ -411,8 +411,7 @@ class EstimationService:
             lanes.append((index, lane))
 
         outcomes: List[Optional[object]] = [None] * len(unique_specs)
-        if rung == "vectorized" and HAVE_NUMPY \
-                and len(unique_specs) >= 2:
+        if rung == "vectorized" and len(unique_specs) >= 2:
             # The coalescing payoff: one compiled build, one batched
             # array pass over every distinct spec in the group.
             compiled = compile_sweep(template, global_batch)
@@ -472,13 +471,10 @@ class EstimationService:
         Sweep traffic tends to walk the node-count axis (scaling
         studies double or halve the fleet), so after the first
         successful evaluation of a group this schedules compiled-table
-        builds for ``nodes*2`` and ``nodes//2``.  ``compile_sweep``
-        seeds each build from the cached sweeps via
-        :meth:`CompiledSweep.seed_from`, so the neighbour build starts
-        from the just-built tables instead of from scratch, and the
-        next request for that size hits a warm cache.  Scheduled at
-        most once per group key; counted on the ``serve.prewarm.*``
-        counters; errors never surface to request handling.
+        builds for ``nodes*2`` and ``nodes//2``, so the next request
+        for that size hits a warm cache.  Scheduled at most once per
+        group key; counted on the ``serve.prewarm.*`` counters; errors
+        never surface to request handling.
         """
         if not self.prewarm or self._evaluate is not None:
             return

@@ -29,11 +29,11 @@ speed.  This module scales it out with the classic pre-fork topology:
   build via :func:`repro.search.shm.ship_compiled`.  The warm LRU is
   paid once per sweep, not once per worker.
 
-The board is filesystem-based on purpose: it must work on the no-NumPy
-leg and on platforms without ``multiprocessing.shared_memory``, where
-only the table exchange (not serving itself) degrades to per-worker
-builds.  See ``docs/serving.md`` for the topology diagram, the
-SO_REUSEPORT caveats and the runbook.
+The board is filesystem-based on purpose: it must work on platforms
+without ``multiprocessing.shared_memory``, where only the table
+exchange (not serving itself) degrades to per-worker builds.  See
+``docs/serving.md`` for the topology diagram, the SO_REUSEPORT caveats
+and the runbook.
 """
 
 from __future__ import annotations

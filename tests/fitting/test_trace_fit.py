@@ -1,9 +1,8 @@
-"""Multi-point trace calibration: recovery, identifiability, backends.
+"""Multi-point trace calibration: recovery and identifiability.
 
 The central property is *self-calibration*: observations synthesized
 from known coefficients must be recovered exactly (noiseless) or
-within the reported confidence bounds (noisy) — on both the NumPy and
-the pure-python solver backends.
+within the reported confidence bounds (noisy).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.fitting.trace_fit as trace_fit
 from repro.core.model import AMPeD
 from repro.errors import ConfigurationError
 from repro.fitting.trace_fit import (
@@ -133,17 +131,6 @@ class TestNoiselessRecovery:
             if residual.measured_s > 0:
                 assert abs(residual.relative_error) < 1e-9
 
-    def test_pure_python_backend_recovers_too(self, base,
-                                              monkeypatch):
-        monkeypatch.setattr(trace_fit, "HAVE_NUMPY", False)
-        fit = fit_from_observations(base, synthesize(base, TRUTH))
-        assert fit.backend == "python"
-        assert fit.converged
-        for name in FIT_PARAMETERS:
-            recovered = getattr(fit.coefficients, name)
-            truth = getattr(TRUTH, name)
-            assert abs(recovered - truth) / truth < 1e-6, name
-
 
 class TestNoisyRecovery:
     def test_truth_lies_within_confidence_bounds(self, base):
@@ -196,6 +183,20 @@ class TestIdentifiability:
         observations = synthesize(base, TRUTH,
                                   configs=(CONFIGS[0],))
         fit = fit_from_observations(base, observations)
+        assert any("ill-conditioned" in warning
+                   for warning in fit.warnings)
+
+    def test_fewer_residuals_than_parameters_is_rank_deficient(self,
+                                                               base):
+        """Three residuals cannot pin five parameters: the Jacobian's
+        missing singular values are zero, so the condition is inf."""
+        observations = synthesize(base, TRUTH, configs=CONFIGS[:1])
+        fit = fit_from_observations(
+            base, observations,
+            terms=("compute_forward", "comm_tp_intra",
+                   "comm_gradient_inter"))
+        assert len(fit.residuals) < len(fit.fitted_parameters)
+        assert math.isinf(fit.condition_number)
         assert any("ill-conditioned" in warning
                    for warning in fit.warnings)
 

@@ -22,7 +22,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.search.resilience import SweepJournal, run_sweep
-from repro.search.vectorized import HAVE_NUMPY
 from repro.transformer.zoo import MEGATRON_1T
 
 
@@ -156,10 +155,8 @@ class TestJournalMetricsRecord:
         snapshot = get_metrics().snapshot()
         assert snapshot["counters"]["sweep.evaluated"] > 0
         assert snapshot["gauges"]["sweep.heartbeat_monotonic_s"] > 0
-        if HAVE_NUMPY:
-            # The default route evaluates whole chunks as array programs.
-            assert snapshot["histograms"]["sweep.chunk_seconds"][
-                "count"] > 0
+        # The default route evaluates whole chunks as array programs.
+        assert snapshot["histograms"]["sweep.chunk_seconds"]["count"] > 0
         # The one-by-one route (per_layer) times every candidate.
         run_sweep(template, 64, max_results=5, evaluation_path="per_layer")
         snapshot = get_metrics().snapshot()

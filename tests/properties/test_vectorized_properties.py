@@ -17,8 +17,6 @@ from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.model import AMPeD
 from repro.hardware.catalog import A100
 from repro.hardware.interconnect import IB_HDR, NVLINK3

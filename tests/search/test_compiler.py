@@ -253,78 +253,34 @@ class TestProcessCache:
             == original.stats()["entries"]
 
 
-class TestSeeding:
-    """Incremental sweep deltas: fresh builds adopt cached tables."""
+class TestCachedNeighbours:
+    """A sweep compiled while other sweeps are cached owes them nothing."""
 
-    @staticmethod
-    def _fill(compiled, system):
-        for spec in enumerate_mappings(system):
-            try:
-                compiled.best_microbatch(spec)
-            except MappingError:
-                continue
-
-    @staticmethod
-    def _assert_bit_exact(seeded, template, system):
-        # A cold direct build never goes through the cache, so it is
-        # the unseeded reference the seeded build must match bit for
-        # bit on every mapping of the new sweep.
-        cold = CompiledSweep(template, GLOBAL_BATCH)
-        for spec in enumerate_mappings(system):
-            try:
-                reference = cold.best_microbatch(spec)
-            except MappingError:
-                with pytest.raises(MappingError):
-                    seeded.best_microbatch(spec)
-                continue
-            tuned, batch_time = seeded.best_microbatch(spec)
-            assert tuned == reference[0]
-            assert batch_time == reference[1]
-
-    def test_system_delta_seeds_compute_tables(self, template, system):
+    def test_build_beside_cached_sweeps_is_bit_exact(self, template,
+                                                     system):
         donor = compile_sweep(template, GLOBAL_BATCH)
-        self._fill(donor, system)
+        for spec in enumerate_mappings(system):
+            try:
+                donor.best_microbatch(spec)
+            except MappingError:
+                continue
         wider = SystemSpec(node=system.node, n_nodes=8)
-        moved = AMPeD.for_mapping(MODELS["megatron-145b"], wider,
-                                  dp=wider.n_accelerators)
-        seeded = compile_sweep(moved, GLOBAL_BATCH)
-        # Same model + batch: the per-class compute tables carry over.
-        assert sum(len(tables[4]) for tables in seeded.classes) > 0
-        stats = compiled_cache_stats()
-        assert stats["seeded_builds"] == 1
-        assert stats["seeded_entries"] > 0
-        self._assert_bit_exact(seeded, moved, wider)
-
-    def test_model_delta_seeds_efficiency_tables(self, template, system):
-        donor = compile_sweep(template, GLOBAL_BATCH)
-        self._fill(donor, system)
-        other = AMPeD.for_mapping(MODELS["mingpt-85m"], system,
-                                  dp=system.n_accelerators)
-        seeded = compile_sweep(other, GLOBAL_BATCH)
-        # Same batch + efficiency model: eff entries carry over even
-        # though the model changed; compute tables must not.
-        assert len(seeded._eff) > 0
-        assert sum(len(tables[4]) for tables in seeded.classes) == 0
-        assert compiled_cache_stats()["seeded_entries"] > 0
-        self._assert_bit_exact(seeded, other, system)
-
-    def test_seed_from_counts_and_never_overwrites(self, template):
-        donor = CompiledSweep(template, GLOBAL_BATCH)
-        donor.batch_time(
-            ParallelismSpec(tp_intra=4, pp_inter=2, dp_inter=2))
-        fresh = CompiledSweep(template, GLOBAL_BATCH)
-        expected = (len(donor._eff) + len(donor._bubble_prefactor)
-                    + sum(len(tables[4]) for tables in donor.classes))
-        assert fresh.seed_from(donor) == expected
-        # Everything already present: a second pass adopts nothing.
-        assert fresh.seed_from(donor) == 0
-
-    def test_different_batch_skips_value_tables(self, template):
-        donor = CompiledSweep(template, GLOBAL_BATCH)
-        donor.batch_time(
-            ParallelismSpec(tp_intra=4, pp_inter=2, dp_inter=2))
-        fresh = CompiledSweep(template, GLOBAL_BATCH * 2)
-        adopted = fresh.seed_from(donor)
-        # Only the batch-independent bubble prefactors carry over.
-        assert adopted == len(donor._bubble_prefactor)
-        assert not fresh._eff
+        neighbours = (
+            (AMPeD.for_mapping(MODELS["megatron-145b"], wider,
+                               dp=wider.n_accelerators), wider),
+            (AMPeD.for_mapping(MODELS["mingpt-85m"], system,
+                               dp=system.n_accelerators), system),
+        )
+        for moved, moved_system in neighbours:
+            built = compile_sweep(moved, GLOBAL_BATCH)
+            # A direct build never goes through the cache: the cold
+            # reference, bit for bit on every mapping of the new sweep.
+            cold = CompiledSweep(moved, GLOBAL_BATCH)
+            for spec in enumerate_mappings(moved_system):
+                try:
+                    reference = cold.best_microbatch(spec)
+                except MappingError:
+                    with pytest.raises(MappingError):
+                        built.best_microbatch(spec)
+                    continue
+                assert built.best_microbatch(spec) == reference

@@ -1,15 +1,17 @@
 """The scalar compiled route is the oracle for every default sweep.
 
-With NumPy importable, ``run_sweep`` and ``explore`` run every default
-(``"compiled"``) sweep on the vectorized binder, whatever its size,
-memory-enforced sweeps included (the memory screen is a lane mask
-there).  These tests keep the scalar route honest as an independent
-reference: on seeded planner cells (zoo model x cluster size x global
-batch) the default ranked sweep must equal the same sweep with NumPy
-switched off, bit for bit — labels, batch times, breakdowns, tuned
-mappings, the evaluated count and every skip count, and for
-memory-enforced cells the report and the journal's candidate records.
-The compiled-sweep cache is cleared between the two runs so the scalar
+``run_sweep`` and ``explore`` run every default (``"compiled"``) sweep
+on the vectorized binder, whatever its size, memory-enforced sweeps
+included (the memory screen is a lane mask there).  These tests keep
+the scalar route honest as an independent reference: on seeded planner
+cells (zoo model x cluster size x global batch) the default ranked
+sweep must equal the same sweep evaluated candidate by candidate
+through :func:`~repro.search.dse.evaluate_candidate`, bit for bit —
+labels, batch times, breakdowns, tuned mappings, the evaluated count
+and every skip count, and for memory-enforced cells the report and the
+journal's candidate records.  The pruner bounds both sweeps share are
+checked against :meth:`CompiledSweep.lower_bound` spec by spec.  The
+compiled-sweep cache is cleared between the two runs so the scalar
 route fills its own term tables instead of reading the ones the array
 binder filled.
 """
@@ -17,22 +19,27 @@ binder filled.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.model import AMPeD
+from repro.errors import MappingError
 from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
-from repro.search import resilience as resilience_module
 from repro.search import vectorized as vectorized_module
-from repro.search.compiler import clear_compiled_cache
+from repro.search.compiler import CompiledSweep, clear_compiled_cache
+from repro.search.dse import evaluate_candidate
 from repro.search.resilience import run_sweep
-from repro.search.vectorized import clear_vectorized_stats, vectorized_stats
+from repro.search.vectorized import (
+    BoundBatch,
+    clear_vectorized_stats,
+    vectorized_stats,
+)
 from repro.transformer.zoo import MODELS
 
 NODE_COUNTS = (4, 16, 64, 128)
@@ -69,10 +76,18 @@ def _template(key, n_nodes):
                              efficiency=CASE_STUDY_EFFICIENCY)
 
 
-def _ranked(template, batch, mappings):
+def _scalar_route(template, batch, tune, enforce_memory,
+                  evaluate=evaluate_candidate):
+    """``evaluate`` bound as ``run_sweep`` binds its default: a custom
+    evaluator takes every candidate the pruner keeps."""
+    return partial(evaluate, template, global_batch=batch,
+                   tune_microbatches=tune, enforce_memory=enforce_memory)
+
+
+def _ranked(template, batch, mappings, evaluate=None):
     clear_compiled_cache()
     outcome = run_sweep(template, batch, mappings=mappings,
-                        max_results=MAX_RESULTS)
+                        max_results=MAX_RESULTS, evaluate=evaluate)
     results = [(result.label, result.batch_time_s,
                 result.breakdown.as_dict(), result.parallelism,
                 result.microbatch_size, result.microbatch_efficiency)
@@ -88,31 +103,24 @@ def test_cells_cover_every_shape():
 
 
 @pytest.mark.parametrize("key,n_nodes,batch", CELLS)
-def test_default_sweep_matches_scalar_route(key, n_nodes, batch,
-                                            monkeypatch):
-    system = replace(megatron_a100_cluster(), n_nodes=n_nodes)
-    model = MODELS[key]
-    template = AMPeD.for_mapping(model, system, dp=system.n_accelerators,
-                                 efficiency=CASE_STUDY_EFFICIENCY)
-    mappings = enumerate_mappings(system, model)
+def test_default_sweep_matches_scalar_route(key, n_nodes, batch):
+    template = _template(key, n_nodes)
+    mappings = enumerate_mappings(template.system, template.model)
     assert vectorized_module.resolve_evaluation_path(
         "compiled", len(mappings)) == "vectorized"
     vectorized = _ranked(template, batch, mappings)
-
-    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-    assert vectorized_module.resolve_evaluation_path(
-        "compiled", len(mappings)) == "compiled"
-    scalar = _ranked(template, batch, mappings)
+    scalar = _ranked(template, batch, mappings,
+                     _scalar_route(template, batch, True, False))
 
     assert vectorized[0], "every planner cell ranks at least one mapping"
     assert vectorized == scalar
 
 
-def _memory_sweep(template, batch, tune, journal):
+def _memory_sweep(template, batch, tune, journal, evaluate=None):
     clear_compiled_cache()
     outcome = run_sweep(template, batch, max_results=MAX_RESULTS,
                         tune_microbatches=tune, enforce_memory=True,
-                        journal_path=journal)
+                        journal_path=journal, evaluate=evaluate)
     results = [(result.label, result.batch_time_s,
                 result.breakdown.as_dict(), result.parallelism,
                 result.microbatch_size, result.microbatch_efficiency)
@@ -129,13 +137,13 @@ def _memory_sweep(template, batch, tune, journal):
 @pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
 @pytest.mark.parametrize("key,n_nodes,batch", MEMORY_CELLS)
 def test_memory_enforced_sweep_matches_scalar_route(
-        key, n_nodes, batch, tune, tmp_path, monkeypatch):
+        key, n_nodes, batch, tune, tmp_path):
     template = _template(key, n_nodes)
     vectorized = _memory_sweep(template, batch, tune,
                                tmp_path / "vectorized.jsonl")
-    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
     scalar = _memory_sweep(template, batch, tune,
-                           tmp_path / "scalar.jsonl")
+                           tmp_path / "scalar.jsonl",
+                           _scalar_route(template, batch, tune, True))
     assert vectorized[2], "the journal records every candidate"
     assert vectorized == scalar
 
@@ -155,13 +163,13 @@ def test_untuned_memory_skips_come_from_the_lane_mask(tmp_path,
     the ranking, report, skip counts and journal details equal the
     scalar route's."""
     calls = []
-    scalar_route = resilience_module.evaluate_candidate
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return scalar_route(*args, **kwargs)
+        return evaluate_candidate(*args, **kwargs)
 
-    monkeypatch.setattr(resilience_module, "evaluate_candidate", counting)
+    monkeypatch.setattr("repro.search.resilience.evaluate_candidate",
+                        counting)
     template = _template("megatron-1t", 128)
     vectorized = _memory_sweep(template, 2048, False,
                                tmp_path / "vectorized.jsonl")
@@ -170,7 +178,28 @@ def test_untuned_memory_skips_come_from_the_lane_mask(tmp_path,
     assert all(record["detail"].endswith("does not fit in HBM")
                for record in vectorized[2])
 
-    monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-    scalar = _memory_sweep(template, 2048, False, tmp_path / "scalar.jsonl")
+    scalar = _memory_sweep(template, 2048, False, tmp_path / "scalar.jsonl",
+                           _scalar_route(template, 2048, False, True,
+                                         counting))
     assert len(calls) == 280
     assert vectorized == scalar
+
+
+@pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
+@pytest.mark.parametrize("key,n_nodes,batch", CELLS)
+def test_array_bounds_match_scalar_lower_bound(key, n_nodes, batch, tune):
+    """The pruner bound both routes prune on: ``lower_bounds()`` equals
+    :meth:`CompiledSweep.lower_bound` spec by spec, NaN where it
+    raises."""
+    template = _template(key, n_nodes)
+    specs = enumerate_mappings(template.system, template.model)
+    bounds = BoundBatch(CompiledSweep(template, batch), specs,
+                        tune).lower_bounds().tolist()
+    scalar = CompiledSweep(template, batch)
+    for spec, bound in zip(specs, bounds):
+        try:
+            expected = scalar.lower_bound(spec, tune)
+        except MappingError:
+            assert math.isnan(bound), spec.describe()
+            continue
+        assert bound == expected, spec.describe()

@@ -19,9 +19,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.model import AMPeD
 from repro.hardware.catalog import A100

@@ -4,8 +4,7 @@ The zoo-wide equivalence properties live in
 ``tests/properties/test_vectorized_properties.py``; this module pins
 the mechanics — key projection against the TERM_KEYS taxonomy, the
 batched reductions against their scalar counterparts, path selection,
-the optional-NumPy contract, pickling/worker shipping and the
-observability surface.
+pickling/worker shipping and the observability surface.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ import math
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.collectives import keys
 from repro.core.model import AMPeD
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.hardware.catalog import A100
 from repro.hardware.interconnect import IB_HDR, NVLINK3
 from repro.hardware.node import NodeSpec
@@ -41,7 +39,6 @@ from repro.search.vectorized import (
     VectorizedSweep,
     clear_vectorized_stats,
     evaluate_chunk,
-    require_numpy,
     resolve_evaluation_path,
     threshold_info,
     vectorized_stats,
@@ -356,10 +353,10 @@ class TestProjectionSuite:
                          dtype=np.int64)
         keys = ((0, 1, 2, 3), (3, 0))
         assert radix ** 4 * len(keys) > vectorized_module._CODE_LIMIT
-        codes, span = vectorized_module._codes(np, ranks, radix, keys)
+        codes, span = vectorized_module._codes(ranks, radix, keys)
         assert span * len(keys) <= vectorized_module._CODE_LIMIT
         (ids, firsts), (pairs, pair_firsts) = vectorized_module._classes(
-            np, codes, span)
+            codes, span)
         assert ids.tolist() == [0, 1, 0, 2]
         assert firsts.tolist() == [0, 1, 3]
         assert pairs.tolist() == [0, 1, 0, 1]
@@ -447,10 +444,6 @@ class TestPathSelection:
     def test_compiled_runs_vectorized_from_one_candidate(self):
         assert resolve_evaluation_path("compiled", 1) == "vectorized"
 
-    def test_compiled_stays_compiled_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-        assert resolve_evaluation_path("compiled", 1) == "compiled"
-
     def test_working_directory_and_environment_do_not_move_it(
             self, tmp_path, monkeypatch):
         # Measured rates that would fit a break-even of 1000 candidates,
@@ -470,35 +463,6 @@ class TestPathSelection:
     @pytest.mark.parametrize("path", ["per_layer"])
     def test_other_paths_untouched(self, path):
         assert resolve_evaluation_path(path, 10**9) == path
-
-
-class TestOptionalNumpyContract:
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-
-    def test_require_numpy_raises_configuration_error(self, no_numpy):
-        with pytest.raises(ConfigurationError, match="requires NumPy"):
-            require_numpy()
-
-    def test_explicit_request_never_downgrades(self, no_numpy):
-        with pytest.raises(ConfigurationError, match="requires NumPy"):
-            resolve_evaluation_path("vectorized", 10**6)
-
-    def test_auto_upgrade_disabled(self, no_numpy):
-        assert resolve_evaluation_path(
-            "compiled", 10**6) == "compiled"
-
-    def test_explore_surfaces_the_error(self, no_numpy, template):
-        with pytest.raises(ConfigurationError, match="requires NumPy"):
-            explore(template, GLOBAL_BATCH, max_results=3,
-                    evaluation_path="vectorized")
-
-    def test_run_sweep_surfaces_the_error(self, no_numpy, template):
-        from repro.search.resilience import run_sweep
-        with pytest.raises(ConfigurationError, match="requires NumPy"):
-            run_sweep(template, GLOBAL_BATCH, max_results=3,
-                      evaluation_path="vectorized")
 
 
 class TestShipping:
@@ -541,7 +505,6 @@ class TestObservability:
         clear_vectorized_stats()
         BoundBatch(compiled, mappings, tune_microbatches=True)
         stats = vectorized_stats()
-        assert stats["available"] == 1
         assert stats["builds"] == 1
         assert stats["build_seconds"] > 0
         assert stats["array_bytes"] > 0
@@ -557,7 +520,6 @@ class TestObservability:
         registry = collect_cache_metrics()
         snapshot = registry.snapshot()
         gauges = snapshot["gauges"]
-        assert gauges["cache.vectorized.available"] == 1
         assert gauges["cache.vectorized.builds"] == 1
         assert gauges["cache.vectorized.array_bytes"] > 0
         reset_metrics()
