@@ -316,11 +316,10 @@ def collect_cache_metrics(
     Pulls ``repro.core.cache_stats()`` (the ``build_operations`` LRU),
     ``repro.core.comm_cache_stats()`` (the collective-time LRU),
     ``repro.search.compiler.compiled_cache_stats()`` (the sweep-compiler
-    table cache), ``repro.search.vectorized.vectorized_stats()``
-    (batch-array builds) and ``repro.search.shm.shm_stats()``
-    (shared-memory table segments) into ``cache.operations.*`` /
+    table cache) and ``repro.search.vectorized.vectorized_stats()``
+    (batch-array builds) into ``cache.operations.*`` /
     ``cache.collectives.*`` / ``cache.compiled.*`` /
-    ``cache.vectorized.*`` / ``cache.shm.*`` gauges, so a single
+    ``cache.vectorized.*`` gauges, so a single
     snapshot answers "did the fast path actually hit the cache" and
     "how hot are the compiled term tables".  Imports lazily:
     :mod:`repro.core` imports the tracer, so a module-level import here
@@ -329,15 +328,13 @@ def collect_cache_metrics(
     from repro.core.communication import comm_cache_stats
     from repro.core.operations import cache_stats
     from repro.search.compiler import compiled_cache_stats
-    from repro.search.shm import shm_stats
     from repro.search.vectorized import vectorized_stats
 
     target = registry if registry is not None else _METRICS
     for prefix, stats in (("cache.operations", cache_stats()),
                           ("cache.collectives", comm_cache_stats()),
                           ("cache.compiled", compiled_cache_stats()),
-                          ("cache.vectorized", vectorized_stats()),
-                          ("cache.shm", shm_stats())):
+                          ("cache.vectorized", vectorized_stats())):
         for key, value in stats.items():
             if value is None:
                 continue

@@ -39,8 +39,7 @@ class CollectiveTopology(ABC):
         # class are interchangeable.  Value equality (rather than the
         # default identity) keeps cache keys built from topology objects
         # — e.g. :meth:`repro.core.model.AMPeD.sweep_identity` — stable
-        # across pickling, so serve-fleet workers that attach a peer's
-        # compiled tables recognise them when requests arrive.
+        # across equal instances and across pickling.
         return type(other) is type(self)
 
     def __hash__(self) -> int:

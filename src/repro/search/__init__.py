@@ -28,20 +28,6 @@ from repro.search.resilience import (
     run_sweep,
     spec_key,
 )
-from repro.search.shm import (
-    HAVE_SHM,
-    SegmentHandle,
-    active_segments,
-    attach_compiled_segment,
-    cleanup_all_segments,
-    leaked_segment_names,
-    publish_segment,
-    release_segment,
-    release_shipment,
-    retain_segment,
-    ship_compiled,
-    shm_stats,
-)
 from repro.search.tuning import microbatch_candidates, optimize_microbatches
 
 __all__ = [
@@ -66,16 +52,4 @@ __all__ = [
     "require_feasible",
     "MappingDiagnosis",
     "FeasibilityIssue",
-    "HAVE_SHM",
-    "SegmentHandle",
-    "publish_segment",
-    "retain_segment",
-    "release_segment",
-    "active_segments",
-    "cleanup_all_segments",
-    "leaked_segment_names",
-    "ship_compiled",
-    "release_shipment",
-    "attach_compiled_segment",
-    "shm_stats",
 ]

@@ -82,9 +82,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
     from repro.core.model import AMPeD
 
 # amplint: disable-file=AMP204 — CompiledSweep is deliberately lock-free: an
-# instance is confined to one evaluating thread (the serve dispatcher, or a
-# fleet worker's own attached copy), locks would break its picklability, and
-# the _lookups/_misses counters are advisory hit-rate statistics.
+# instance is confined to one evaluating thread (the sweep's caller, or the
+# serve dispatcher; each fleet worker builds its own), a lock would tax every
+# table fill, and the _lookups/_misses counters are advisory hit-rate
+# statistics.
 
 #: Breakdown component names in :class:`TrainingTimeBreakdown` order.
 COMPONENT_NAMES = (
@@ -101,9 +102,8 @@ class CompiledSweep:
 
     One instance serves every candidate mapping of a (template, global
     batch) sweep.  Tables fill lazily — a miss calls the reference
-    estimator functions once per distinct minimal key.  The serve
-    fleet ships filled instances between worker processes
-    (:mod:`repro.search.shm`).
+    estimator functions once per distinct minimal key, in the process
+    that evaluates them (every serve fleet worker builds its own).
     """
 
     def __init__(self, template: "AMPeD", global_batch: int) -> None:
@@ -173,9 +173,6 @@ class CompiledSweep:
             3 if self.explicit_zero else 2) + sum(
             3 + (1 if layer.is_moe else 0)
             for layer, *_ in self.classes if layer.index >= 0)
-        #: Cache key under which this instance is (or would be)
-        #: registered; ``None`` when the template is unhashable.
-        self.cache_key: Optional[tuple] = None
         #: The sweep's validated CommEnvironment, built on first use.
         self._env_base: Optional[CommEnvironment] = None
 
@@ -207,13 +204,6 @@ class CompiledSweep:
         env.__dict__.update(base.__dict__)
         env.__dict__["parallelism"] = spec
         return env
-
-    def __getstate__(self) -> dict:
-        """Pickle state without the environment prototype, which the
-        receiver rebuilds on its first fill."""
-        state = dict(self.__dict__)
-        state["_env_base"] = None
-        return state
 
     # -- the combiner ----------------------------------------------------------
 
@@ -687,48 +677,7 @@ def _total_of(totals: tuple) -> float:
 
 _CACHE_LOCK = threading.Lock()
 _CACHE: "OrderedDict[tuple, CompiledSweep]" = OrderedDict()
-_STATS = {"builds": 0, "hits": 0, "misses": 0, "uncached": 0,
-          "installed": 0, "fetched_peer": 0}
-
-#: Optional cross-process sweep exchange, installed by the multi-worker
-#: serve daemon: ``fetch(cache_key)`` may return a peer worker's
-#: already-built sweep (attached from its shared-memory segment), and
-#: ``built(compiled)`` advertises a fresh local build to peers.  Both
-#: are best-effort — any failure falls back to a local build.
-_FETCH_HOOK: Optional[object] = None
-_BUILT_HOOK: Optional[object] = None
-
-
-def set_sweep_exchange_hooks(fetch: Optional[object] = None,
-                             built: Optional[object] = None) -> None:
-    """Install (or with no arguments, clear) the cross-process sweep
-    exchange hooks consulted by :func:`compile_sweep` on cache misses."""
-    global _FETCH_HOOK, _BUILT_HOOK
-    _FETCH_HOOK = fetch
-    _BUILT_HOOK = built
-
-
-def _fetch_from_peer(key: tuple) -> "Optional[CompiledSweep]":
-    fetch = _FETCH_HOOK
-    if fetch is None:
-        return None
-    try:
-        fetched = fetch(key)
-    except Exception:  # noqa: BLE001 — fallback boundary: a vanished peer segment means build locally
-        return None
-    if fetched is None or fetched.cache_key != key:
-        return None  # digest collision or stale advert: build locally
-    return fetched
-
-
-def _announce_built(compiled: "CompiledSweep") -> None:
-    built = _BUILT_HOOK
-    if built is None:
-        return
-    try:
-        built(compiled)
-    except Exception:  # noqa: BLE001 — fallback boundary: advertising is best-effort, the local build stands
-        pass
+_STATS = {"builds": 0, "hits": 0, "misses": 0, "uncached": 0}
 
 
 def _reset_cache_lock_after_fork() -> None:
@@ -736,8 +685,8 @@ def _reset_cache_lock_after_fork() -> None:
 
     A fork can land while another thread holds ``_CACHE_LOCK``; the
     child would then inherit a lock that is locked forever and deadlock
-    on its first ``compile_sweep``/``install_compiled`` call.  The
-    inherited cache contents themselves are safe (a warm copy)."""
+    on its first ``compile_sweep`` call.  The inherited cache contents
+    themselves are safe (a warm copy)."""
     global _CACHE_LOCK
     _CACHE_LOCK = threading.Lock()
 
@@ -770,36 +719,13 @@ def compile_sweep(template: "AMPeD", global_batch: int) -> CompiledSweep:
             _STATS["hits"] += 1
             return cached
         _STATS["misses"] += 1
-    fetched = _fetch_from_peer(key)
-    if fetched is not None:
-        # A peer worker already paid for these tables; adopt its copy
-        # (attached zero-copy from shared memory) instead of rebuilding.
-        install_compiled(fetched)
-        with _CACHE_LOCK:
-            _STATS["fetched_peer"] += 1
-        return fetched
     compiled = CompiledSweep(template, global_batch)
-    compiled.cache_key = key
     with _CACHE_LOCK:
         _STATS["builds"] += 1
         _CACHE[key] = compiled
         while len(_CACHE) > MAX_CACHED_SWEEPS:
             _CACHE.popitem(last=False)
-    _announce_built(compiled)
     return compiled
-
-
-def install_compiled(compiled: CompiledSweep) -> None:
-    """Register an instance built elsewhere (a fleet peer's tables,
-    attached from shared memory) in the process cache so subsequent
-    :func:`compile_sweep` calls hit it."""
-    with _CACHE_LOCK:
-        _STATS["installed"] += 1
-        if compiled.cache_key is not None:
-            _CACHE[compiled.cache_key] = compiled
-            _CACHE.move_to_end(compiled.cache_key)
-            while len(_CACHE) > MAX_CACHED_SWEEPS:
-                _CACHE.popitem(last=False)
 
 
 def compiled_cache_stats() -> Dict[str, int]:

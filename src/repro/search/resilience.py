@@ -31,7 +31,8 @@ bounds, and its candidate outcomes as one array program (the memory
 screen is a lane mask there), from
 :func:`~repro.search.vectorized.evaluate_chunk`; whatever the arrays
 leave undecided, and every candidate of a ``per_layer`` or custom
-``evaluate`` sweep, is evaluated one by one.  Coverage
+``evaluate`` sweep, is evaluated one by one; those two ask the arrays
+for bounds only, and skip them when nothing prunes.  Coverage
 accounting is surfaced as a :class:`~repro.reporting.sweep.SweepReport`;
 ``docs/robustness.md`` documents the journal schema.
 """
@@ -512,6 +513,12 @@ def run_sweep(template: AMPeD, global_batch: int,
     pending = ([spec for spec in mappings if spec_key(spec) not in done]
                if done else list(mappings))
 
+    # A custom evaluate decides every candidate itself, so the chunk
+    # call only has pruner bounds to give: ask for them alone, as a
+    # per_layer template does, and skip the call when nothing prunes.
+    chunk_template = (replace(template, evaluation_path="per_layer")
+                      if custom_evaluate else template)
+    chunk_decides = chunk_template.evaluation_path != "per_layer"
     metrics = get_metrics()
     heartbeat = metrics.gauge("sweep.heartbeat_monotonic_s")
     chunk_seconds = metrics.histogram("sweep.chunk_seconds")
@@ -578,11 +585,14 @@ def run_sweep(template: AMPeD, global_batch: int,
                                  "n_candidates": len(chunk),
                                  "tune_microbatches":
                                      tune_microbatches}) as live:
-                    bounds, outcomes = evaluate_chunk(
-                        template, compiled, chunk, global_batch,
-                        tune_microbatches,
-                        need_bounds=pruner is not None,
-                        enforce_memory=enforce_memory)
+                    if chunk_decides or pruner is not None:
+                        bounds, outcomes = evaluate_chunk(
+                            chunk_template, compiled, chunk,
+                            global_batch, tune_microbatches,
+                            need_bounds=pruner is not None,
+                            enforce_memory=enforce_memory)
+                    else:
+                        bounds, outcomes = None, [None] * len(chunk)
                     fallbacks = 0
                     # Serial-order walk: the pruner threshold is re-read
                     # per candidate because absorb() tightens it, so
@@ -608,8 +618,7 @@ def run_sweep(template: AMPeD, global_batch: int,
                                     detail=("lower bound exceeds the "
                                             "incumbent top-k")))
                                 continue
-                        outcome = None if custom_evaluate \
-                            else outcomes[index]
+                        outcome = outcomes[index]
                         if outcome is None:
                             fallbacks += 1
                             outcome = evaluate_one(spec)

@@ -466,15 +466,20 @@ class EstimationService:
     # -- neighbourhood pre-warm ---------------------------------------
 
     def _schedule_prewarm(self, request: EstimateRequest) -> None:
-        """Compile neighbouring system sizes in the background.
+        """Register neighbouring system sizes in the compile cache in
+        the background.
 
         Sweep traffic tends to walk the node-count axis (scaling
         studies double or halve the fleet), so after the first
-        successful evaluation of a group this schedules compiled-table
-        builds for ``nodes*2`` and ``nodes//2``, so the next request
-        for that size hits a warm cache.  Scheduled at most once per
-        group key; counted on the ``serve.prewarm.*`` counters; errors
-        never surface to request handling.
+        successful evaluation of a group this calls
+        :func:`~repro.search.compiler.compile_sweep` for ``nodes*2``
+        and ``nodes//2``.  That builds and caches each neighbour's
+        :class:`~repro.search.compiler.CompiledSweep` with *empty* term
+        tables: the constructor fills none, so the next request for
+        that size is a compile-cache hit but still fills its tables on
+        first evaluation.  Scheduled at most once per group key;
+        counted on the ``serve.prewarm.*`` counters; errors never
+        surface to request handling.
         """
         if not self.prewarm or self._evaluate is not None:
             return

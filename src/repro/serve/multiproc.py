@@ -17,23 +17,17 @@ speed.  This module scales it out with the classic pre-fork topology:
   lacks ``SO_REUSEPORT`` the master binds a single listening socket
   before forking and every worker accepts on the inherited fd.
 - Workers heartbeat onto a :class:`WorkerBoard` (atomic JSON slot files
-  in a private runtime directory): readiness, degradation rung,
-  metrics snapshot, and the shared-memory segments holding compiled
-  term tables they have published.  Any worker's ``/readyz`` then
-  answers for the **fleet quorum** (majority of expected workers
-  ready), and ``/metrics`` aggregates counters across all live slots.
-- Compiled term tables cross process boundaries **zero-copy**: on a
-  compile-cache miss a worker first consults its peers' advertised
-  segments (:func:`repro.search.shm.attach_compiled_segment`) and only
-  builds locally when no peer has the sweep, then advertises its own
-  build via :func:`repro.search.shm.ship_compiled`.  The warm LRU is
-  paid once per sweep, not once per worker.
+  in a private runtime directory): readiness, degradation rung and
+  metrics snapshot.  Any worker's ``/readyz`` then answers for the
+  **fleet quorum** (majority of expected workers ready), and
+  ``/metrics`` aggregates counters across all live slots.
+- Each worker keeps its own compiled-sweep cache.  Term tables fill
+  lazily, microseconds per entry, in the process that evaluates them,
+  so a worker builds every sweep it serves itself; nothing but the
+  master's pre-warmed cache (inherited by the fork) is shared.
 
-The board is filesystem-based on purpose: it must work on platforms
-without ``multiprocessing.shared_memory``, where only the table
-exchange (not serving itself) degrades to per-worker builds.  See
-``docs/serving.md`` for the topology diagram, the SO_REUSEPORT caveats
-and the runbook.
+See ``docs/serving.md`` for the topology diagram, the SO_REUSEPORT
+caveats and the runbook.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import collect_cache_metrics, get_metrics
-from repro.search import shm
 from repro.units import SECONDS_PER_MINUTE
 from repro.serve.server import _Handler, _Server, ServeConfig, ServeDaemon
 
@@ -218,75 +211,6 @@ class WorkerBoard:
             "workers_expected": self.workers_expected,
         }
 
-    def peer_segments(self, local_index: int) -> Dict[str, str]:
-        """Advertised compiled-sweep segments of every *other* live
-        worker: sweep digest -> shared-memory segment name."""
-        segments: Dict[str, str] = {}
-        for index, slot in self.read_slots().items():
-            if index == local_index:
-                continue
-            advertised = slot.get("segments")
-            if isinstance(advertised, dict):
-                segments.update(advertised)
-        return segments
-
-
-class _SweepExchange:
-    """One worker's half of the zero-copy compiled-sweep exchange.
-
-    ``built`` publishes a freshly compiled sweep's term tables into a
-    shared-memory segment (kept alive for the worker's lifetime and
-    advertised on the board slot); ``fetch`` attaches a peer's segment
-    on a local cache miss.  Both ends are installed as
-    :func:`repro.search.compiler.set_sweep_exchange_hooks`.
-    """
-
-    def __init__(self, board: WorkerBoard, index: int) -> None:
-        self.board = board
-        self.index = index
-        self._lock = threading.Lock()
-        self._published: Dict[str, shm.CompiledShipment] = {}
-
-    def advertised(self) -> Dict[str, str]:
-        with self._lock:
-            return {digest: shipment.handle.name
-                    for digest, shipment in self._published.items()}
-
-    def built(self, compiled: Any) -> None:
-        if compiled.cache_key is None or not shm.HAVE_SHM:
-            return
-        digest = shm.shm_digest(compiled.cache_key)
-        with self._lock:
-            if digest in self._published:
-                return
-        shipped = shm.ship_compiled(compiled)
-        if not isinstance(shipped, shm.CompiledShipment):
-            return  # publish fell back; nothing to advertise
-        with self._lock:
-            self._published[digest] = shipped
-        get_metrics().counter("serve.segments.published").inc()
-
-    def fetch(self, key: tuple) -> Optional[Any]:
-        if not shm.HAVE_SHM:
-            return None
-        digest = shm.shm_digest(key)
-        name = self.board.peer_segments(self.index).get(digest)
-        if name is None:
-            return None
-        try:
-            compiled = shm.attach_compiled_segment(name)
-        except Exception:  # noqa: BLE001 — fallback boundary: the peer (and its segment) may be gone
-            return None
-        get_metrics().counter("serve.segments.attached").inc()
-        return compiled  # compile_sweep verifies cache_key == key
-
-    def release_all(self) -> None:
-        with self._lock:
-            published = list(self._published.values())
-            self._published.clear()
-        for shipment in published:
-            shm.release_shipment(shipment)
-
 
 # ---------------------------------------------------------------------------
 # Worker process
@@ -335,10 +259,6 @@ def _worker_main(config: ServeConfig, index: int, board: WorkerBoard,
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
-    exchange = _SweepExchange(board, index)
-    from repro.search.compiler import set_sweep_exchange_hooks
-    set_sweep_exchange_hooks(fetch=exchange.fetch, built=exchange.built)
-
     if listen_sock is not None:
         factory = _inherited_factory(listen_sock)
     else:
@@ -370,7 +290,6 @@ def _worker_main(config: ServeConfig, index: int, board: WorkerBoard,
                     "rung": status.get("evaluation_path"),
                     "status": status,
                     "metrics": snapshot,
-                    "segments": exchange.advertised(),
                 })
             except Exception:  # noqa: BLE001 — the heartbeat must outlive any one bad snapshot
                 _LOG.debug("heartbeat failed", exc_info=True)
@@ -386,8 +305,6 @@ def _worker_main(config: ServeConfig, index: int, board: WorkerBoard,
         stop_heartbeat.set()
         ticker.join(2 * HEARTBEAT_INTERVAL_S)
         board.clear_slot(index)
-        exchange.release_all()
-        shm.cleanup_all_segments()
     return code
 
 

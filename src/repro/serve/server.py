@@ -332,8 +332,9 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
                              "the platform supports it)")
     parser.add_argument("--prewarm", default=True,
                         action=argparse.BooleanOptionalAction,
-                        help="pre-compile neighbouring system sizes in "
-                             "the background after each cache miss")
+                        help="after a group's first evaluation, build "
+                             "the compiled sweeps (tables still empty) of "
+                             "neighbouring system sizes in the background")
 
 
 def config_from_args(args: argparse.Namespace) -> ServeConfig:

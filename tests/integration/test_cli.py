@@ -1,5 +1,11 @@
 """Integration tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -190,3 +196,37 @@ class TestCommands:
         assert "Table III" in out
         assert "Fig. 2a" in out
         assert "Fig. 2b" in out
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: Runs ``python -m repro estimate`` in this interpreter, then reports
+#: which of the named modules it left loaded.
+_ESTIMATE_THEN_LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["repro", "estimate", "--tp", "8", "--dp", "2",
+            "--nodes", "2", "--batch", "256"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit as done:
+    assert not done.code, done.code
+names = ("multiprocessing", "multiprocessing.shared_memory",
+         "repro.search.shm")
+sys.stderr.write(json.dumps([n for n in names if n in sys.modules]))
+"""
+
+
+def test_estimate_loads_no_multiprocessing():
+    # A one-shot estimate never forks or shares memory; its imports
+    # (parser -> serve daemon -> repro.search) must not drag the
+    # multiprocessing package in.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    completed = subprocess.run(
+        [sys.executable, "-c", _ESTIMATE_THEN_LIST_MODULES],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert "training time breakdown" in completed.stdout
+    assert json.loads(completed.stderr.splitlines()[-1]) == []

@@ -5,13 +5,11 @@ The zoo-wide equivalence lives in
 compiler's own contracts: shared tables answer every candidate bit for
 bit as a table set filled for that candidate alone (the per-candidate
 layer-class sum), microbatch-tuning parity, the admissible (and strictly tighter)
-compute + communication lower bound, the process-wide table cache, and
-the pool warm-up path.
+compute + communication lower bound, and the process-wide table cache.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import replace
 
 import pytest
@@ -29,7 +27,6 @@ from repro.search.compiler import (
     clear_compiled_cache,
     compile_sweep,
     compiled_cache_stats,
-    install_compiled,
 )
 from repro.search.dse import compute_lower_bound
 from repro.search.tuning import optimize_microbatches
@@ -205,16 +202,6 @@ class TestEnvironment:
                 moe_volume_multiplier=template.moe_volume_multiplier,
                 moe_tp_sharding=template.moe_tp_sharding)
 
-    def test_prototype_stays_out_of_pickles(self, template, system):
-        compiled = CompiledSweep(template, GLOBAL_BATCH)
-        first, second = enumerate_mappings(system, template.model)[:2]
-        compiled.batch_time(first)
-        assert compiled._env_base is not None
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert clone._env_base is None
-        assert clone.batch_time(second) == compiled.batch_time(second)
-        assert clone._env_base.parallelism == second
-
 
 class TestProcessCache:
     def test_compile_sweep_caches_by_identity(self, template):
@@ -237,20 +224,6 @@ class TestProcessCache:
         second = compile_sweep(
             replace(template, evaluation_path="compiled"), GLOBAL_BATCH)
         assert first is second
-
-    def test_install_compiled_round_trips_through_pickle(self,
-                                                         template):
-        original = compile_sweep(template, GLOBAL_BATCH)
-        original.batch_time(
-            ParallelismSpec(tp_intra=4, pp_inter=2, dp_inter=2))
-        shipped = pickle.loads(pickle.dumps(original))
-        clear_compiled_cache()
-        install_compiled(shipped)
-        assert compile_sweep(template, GLOBAL_BATCH) is shipped
-        assert compiled_cache_stats()["installed"] == 1
-        # The shipped instance carries the parent's filled tables.
-        assert shipped.stats()["entries"] \
-            == original.stats()["entries"]
 
 
 class TestCachedNeighbours:

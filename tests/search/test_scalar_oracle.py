@@ -185,6 +185,37 @@ def test_untuned_memory_skips_come_from_the_lane_mask(tmp_path,
     assert vectorized == scalar
 
 
+def test_custom_evaluate_asks_the_arrays_for_bounds_only(monkeypatch):
+    """A custom ``evaluate`` decides every candidate itself: the array
+    route then reduces no lanes, and without a top-k (no pruner) binds
+    no batch at all."""
+    built, reduced = [], []
+    real_init, real_best_lanes = BoundBatch.__init__, BoundBatch.best_lanes
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counting_best_lanes(self):
+        reduced.append(1)
+        return real_best_lanes(self)
+
+    monkeypatch.setattr(BoundBatch, "__init__", counting_init)
+    monkeypatch.setattr(BoundBatch, "best_lanes", counting_best_lanes)
+    template = _template("megatron-1t", 128)
+    evaluate = _scalar_route(template, 2048, True, False)
+
+    ranked = run_sweep(template, 2048, max_results=MAX_RESULTS,
+                       evaluate=evaluate)
+    assert ranked.report.evaluated > 0
+    assert built and not reduced
+
+    built.clear()
+    unranked = run_sweep(template, 2048, evaluate=evaluate)
+    assert unranked.report.evaluated > 0
+    assert not built and not reduced
+
+
 @pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
 @pytest.mark.parametrize("key,n_nodes,batch", CELLS)
 def test_array_bounds_match_scalar_lower_bound(key, n_nodes, batch, tune):

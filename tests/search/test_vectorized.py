@@ -4,7 +4,7 @@ The zoo-wide equivalence properties live in
 ``tests/properties/test_vectorized_properties.py``; this module pins
 the mechanics — key projection against the TERM_KEYS taxonomy, the
 batched reductions against their scalar counterparts, path selection,
-pickling/worker shipping and the observability surface.
+pickling and the observability surface.
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ from repro.obs.metrics import collect_cache_metrics, reset_metrics
 from repro.obs.trace import get_tracer
 from repro.parallelism.mapping import enumerate_mappings
 from repro.search import vectorized as vectorized_module
-from repro.search.compiler import (
-    clear_compiled_cache,
-    compile_sweep,
-    install_compiled,
-)
+from repro.search.compiler import compile_sweep
 from repro.search.dse import evaluate_candidate, explore
 from repro.search.vectorized import (
     BoundBatch,
-    VectorizedSweep,
     clear_vectorized_stats,
     evaluate_chunk,
     resolve_evaluation_path,
@@ -466,8 +461,7 @@ class TestPathSelection:
 
 
 class TestShipping:
-    """Bound batches and their compiled tables survive pickling, and
-    installed copies of shipped tables back the array backend."""
+    """Bound batches and their compiled tables survive pickling."""
 
     def test_bound_batch_round_trips(self, compiled, mappings):
         batch = BoundBatch(compiled, mappings, tune_microbatches=True)
@@ -478,26 +472,6 @@ class TestShipping:
         clone_times, _, clone_feasible = clone.best_lanes()
         np.testing.assert_array_equal(clone_times, times)
         np.testing.assert_array_equal(clone_feasible, feasible)
-
-    def test_installed_shipped_tables_back_the_backend(
-            self, template, mappings):
-        parent = compile_sweep(template, GLOBAL_BATCH)
-        expected = VectorizedSweep(parent).bind(
-            mappings, tune_microbatches=True).lane_times()
-        shipped = pickle.loads(pickle.dumps(parent))
-        clear_compiled_cache()
-        install_compiled(shipped)
-        installed = compile_sweep(template, GLOBAL_BATCH)
-        assert installed is shipped
-        actual = VectorizedSweep(installed).bind(
-            mappings, tune_microbatches=True).lane_times()
-        np.testing.assert_array_equal(actual, expected)
-
-    def test_install_compiled_path(self, template, compiled, mappings):
-        clone = pickle.loads(pickle.dumps(compiled))
-        install_compiled(clone)
-        batch = VectorizedSweep(clone).bind(mappings)
-        assert batch.n_specs == len(mappings)
 
 
 class TestObservability:

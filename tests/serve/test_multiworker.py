@@ -104,12 +104,6 @@ class TestWorkerBoard:
         assert merged["workers_reporting"] == [0, 1]
         assert merged["workers_expected"] == 3
 
-    def test_peer_segments_exclude_self(self, board):
-        board.write_slot(0, {"segments": {"d0": "amped-1-1-sweep"}})
-        board.write_slot(1, {"segments": {"d1": "amped-2-1-sweep"}})
-        assert board.peer_segments(1) == {"d0": "amped-1-1-sweep"}
-        assert board.peer_segments(2) == {"d0": "amped-1-1-sweep",
-                                          "d1": "amped-2-1-sweep"}
 
 
 def test_reuseport_available_is_stable():
