@@ -216,17 +216,35 @@ sys.stderr.write(json.dumps([n for n in names if n in sys.modules]))
 """
 
 
-def test_estimate_loads_no_multiprocessing():
-    # A one-shot estimate never forks or shares memory; its imports
-    # (parser -> serve daemon -> repro.search) must not drag the
-    # multiprocessing package in.
+def _run_in_fresh_interpreter(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]]
                                if env.get("PYTHONPATH") else []))
     completed = subprocess.run(
-        [sys.executable, "-c", _ESTIMATE_THEN_LIST_MODULES],
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
+    return completed
+
+
+def test_estimate_loads_no_multiprocessing():
+    # A one-shot estimate never forks or shares memory; its imports
+    # (parser -> serve daemon -> repro.search) must not drag the
+    # multiprocessing package in.
+    completed = _run_in_fresh_interpreter(_ESTIMATE_THEN_LIST_MODULES)
     assert "training time breakdown" in completed.stdout
     assert json.loads(completed.stderr.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.search", "repro.cli",
+                                    "repro.serve.server"])
+def test_import_loads_no_multiprocessing(module):
+    # Only the pre-fork fleet (repro.serve.multiproc) forks; importing
+    # the package, the search layer, the CLI or the single-process
+    # daemon loads neither multiprocessing nor the leak-check module.
+    completed = _run_in_fresh_interpreter(
+        f"import json, sys, {module}\n"
+        "names = ('multiprocessing', 'repro.search.shm')\n"
+        "print(json.dumps([n for n in names if n in sys.modules]))\n")
+    assert json.loads(completed.stdout.splitlines()[-1]) == []

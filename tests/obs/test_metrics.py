@@ -17,6 +17,7 @@ from repro.obs.metrics import (
     get_metrics,
     reset_metrics,
 )
+from repro.search.compiler import compiled_cache_stats
 
 
 class TestCounter:
@@ -173,6 +174,25 @@ class TestCacheMetricsRoundTrip:
                 > before["cache.compiled.hits"])
         assert (after["cache.collectives.hits"]
                 > before["cache.collectives.hits"])
+
+    def test_gauges_cover_the_compiled_cache(self, tiny_amped):
+        tiny_amped.estimate_batch(64)
+        registry = collect_cache_metrics(MetricsRegistry())
+        gauges = registry.snapshot()["gauges"]
+        stats = compiled_cache_stats()
+        for key, value in stats.items():
+            assert gauges[f"cache.compiled.{key}"] == float(value)
+        # The counters the end-to-end benchmark reads.
+        for key in ("builds", "hits", "table_lookups", "table_hits"):
+            assert f"cache.compiled.{key}" in gauges
+
+    def test_gauges_come_from_the_four_caches_only(self, tiny_amped):
+        tiny_amped.estimate_batch(64)
+        gauges = collect_cache_metrics(
+            MetricsRegistry()).snapshot()["gauges"]
+        families = {name.split(".")[1] for name in gauges}
+        assert families == {"operations", "collectives", "compiled",
+                            "vectorized"}
 
     def test_defaults_to_process_registry(self):
         assert collect_cache_metrics() is get_metrics()

@@ -10,6 +10,10 @@ compute + communication lower bound, and the process-wide table cache.
 
 from __future__ import annotations
 
+import json
+import os
+import select
+import signal
 from dataclasses import replace
 
 import pytest
@@ -22,6 +26,7 @@ from repro.hardware.node import NodeSpec
 from repro.hardware.system import SystemSpec
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.spec import ParallelismSpec
+from repro.search import compiler as compiler_module
 from repro.search.compiler import (
     CompiledSweep,
     clear_compiled_cache,
@@ -224,6 +229,58 @@ class TestProcessCache:
         second = compile_sweep(
             replace(template, evaluation_path="compiled"), GLOBAL_BATCH)
         assert first is second
+
+    def test_stats_count_local_builds_and_hits_only(self, template):
+        first = compile_sweep(template, GLOBAL_BATCH)
+        compile_sweep(template, GLOBAL_BATCH)
+        first.batch_time(ParallelismSpec(tp_intra=4, pp_inter=2,
+                                         dp_inter=2))
+        stats = compiled_cache_stats()
+        assert {name: stats[name] for name in
+                ("builds", "hits", "misses", "uncached",
+                 "cached_sweeps")} \
+            == {"builds": 1, "hits": 1, "misses": 1, "uncached": 0,
+                "cached_sweeps": 1}
+        assert set(stats) == {
+            "builds", "hits", "misses", "uncached", "cached_sweeps",
+            "table_lookups", "table_misses", "table_hits",
+            "table_entries"}
+        assert stats["table_entries"] == first.stats()["entries"] > 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="os.fork unavailable")
+    def test_forked_child_builds_its_own_sweeps(self, template):
+        """A fleet worker inherits the master's warm cache and builds
+        every other sweep itself, even when the fork lands while the
+        cache lock is held."""
+        warm = compile_sweep(template, GLOBAL_BATCH)
+        read_end, write_end = os.pipe()
+        with compiler_module._CACHE_LOCK:
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                inherited = compile_sweep(template, GLOBAL_BATCH) is warm
+                compile_sweep(template, GLOBAL_BATCH + 1)
+                report = dict(compiled_cache_stats(),
+                              inherited=inherited)
+                os.write(write_end, json.dumps(report).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            ready, _, _ = select.select([pipe], [], [], 60.0)
+            if not ready:  # a child stuck on the inherited lock
+                os.kill(pid, signal.SIGKILL)
+            report = pipe.read() if ready else b""
+        os.waitpid(pid, 0)
+        assert report, "the forked child never reported"
+        child = json.loads(report)
+        assert child["inherited"]
+        assert child["builds"] == 2
+        assert child["cached_sweeps"] == 2
+        # The child's build stays in the child.
+        assert compiled_cache_stats()["builds"] == 1
+        assert compiled_cache_stats()["cached_sweeps"] == 1
 
 
 class TestCachedNeighbours:

@@ -31,6 +31,7 @@ from repro.errors import MappingError
 from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
+from repro.search import resilience as resilience_module
 from repro.search import vectorized as vectorized_module
 from repro.search.compiler import CompiledSweep, clear_compiled_cache
 from repro.search.dse import evaluate_candidate
@@ -84,10 +85,12 @@ def _scalar_route(template, batch, tune, enforce_memory,
                    tune_microbatches=tune, enforce_memory=enforce_memory)
 
 
-def _ranked(template, batch, mappings, evaluate=None):
+def _ranked(template, batch, mappings, evaluate=None,
+            evaluation_path="compiled"):
     clear_compiled_cache()
     outcome = run_sweep(template, batch, mappings=mappings,
-                        max_results=MAX_RESULTS, evaluate=evaluate)
+                        max_results=MAX_RESULTS, evaluate=evaluate,
+                        evaluation_path=evaluation_path)
     results = [(result.label, result.batch_time_s,
                 result.breakdown.as_dict(), result.parallelism,
                 result.microbatch_size, result.microbatch_efficiency)
@@ -214,6 +217,48 @@ def test_custom_evaluate_asks_the_arrays_for_bounds_only(monkeypatch):
     unranked = run_sweep(template, 2048, evaluate=evaluate)
     assert unranked.report.evaluated > 0
     assert not built and not reduced
+
+
+@pytest.mark.parametrize("path", ["per_layer", "compiled", "vectorized"])
+def test_custom_evaluate_ranks_like_the_default_route(path):
+    """Bounds-only chunk calls prune exactly what the default route
+    prunes: the ranking, evaluated count and skip counts are equal."""
+    template = replace(_template("megatron-1.7b", 4),
+                       evaluation_path=path)
+    mappings = enumerate_mappings(template.system, template.model)
+    default = _ranked(template, 512, mappings, evaluation_path=path)
+    custom = _ranked(template, 512, mappings,
+                     _scalar_route(template, 512, True, False),
+                     evaluation_path=path)
+    assert default[0], "the cell ranks at least one mapping"
+    assert default[2].get("pruned"), "the cell exercises the pruner"
+    assert custom == default
+
+
+@pytest.mark.parametrize("route", ["custom-evaluate", "per-layer-template"])
+def test_chunk_call_only_serves_the_pruner(route, monkeypatch):
+    """Where candidates are decided one by one, ``evaluate_chunk`` is
+    called for pruner bounds with a top-k and not at all without."""
+    calls = []
+    real_evaluate_chunk = resilience_module.evaluate_chunk
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["need_bounds"])
+        return real_evaluate_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(resilience_module, "evaluate_chunk", counting)
+    template = _template("megatron-1.7b", 4)
+    if route == "custom-evaluate":
+        options = {"evaluate": _scalar_route(template, 512, True, False)}
+    else:
+        options = {"evaluation_path": "per_layer"}
+
+    unranked = run_sweep(template, 512, **options)
+    assert unranked.report.evaluated > 0
+    assert calls == []
+
+    run_sweep(template, 512, max_results=MAX_RESULTS, **options)
+    assert calls and all(calls)
 
 
 @pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
