@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """CI smoke for the estimation daemon, single- and multi-worker.
 
-Launches ``python -m repro.serve`` as a real subprocess and exercises
-liveness, one genuine estimate round-trip and the metrics endpoint,
-then SIGTERMs it and asserts a clean graceful shutdown: exit code 0,
-"shutdown complete" printed, no orphaned ``repro.serve`` processes
-left behind.  The cycle runs twice — the single-process daemon, then
-a ``--workers 2`` pre-fork fleet (where ``/readyz`` must report the
-two-worker quorum) — and finishes with the shared-memory leak check:
-no ``amped-*`` segment may survive in ``/dev/shm``.
+Launches the daemon as a real subprocess and exercises liveness, one
+genuine estimate round-trip and the metrics endpoint, then SIGTERMs it
+and asserts a clean graceful shutdown: exit code 0, "shutdown
+complete" printed, no orphaned daemon processes left behind.  The
+cycle runs three times — the single-process daemon through both entry
+points (``python -m repro.serve`` and ``python -m repro serve``, the
+``amped serve`` subcommand), then a ``--workers 2`` pre-fork fleet
+(where ``/readyz`` must report the two-worker quorum) — and finishes
+with the shared-memory leak check: no ``amped-*`` segment may survive
+in ``/dev/shm``.
 
 Usage: ``python scripts/serve_smoke.py`` (run from the repo root; adds
 ``src/`` to the child's PYTHONPATH automatically).  Exits non-zero on
@@ -52,7 +54,7 @@ def post_json(url, payload, timeout=60):
 
 
 def orphaned_serve_pids():
-    """PIDs (other than ours) whose cmdline mentions repro.serve."""
+    """PIDs (other than ours) running ``repro.serve`` or ``repro serve``."""
     pids = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit() or int(entry) == os.getpid():
@@ -62,19 +64,21 @@ def orphaned_serve_pids():
                 cmdline = handle.read().decode("utf-8", "replace")
         except OSError:
             continue
-        if "repro.serve" in cmdline:
+        if "repro.serve" in cmdline or "repro\0serve" in cmdline:
             pids.append(int(entry))
     return pids
 
 
-def run_cycle(label, extra_args, expect_workers=None):
-    """One boot → probe → SIGTERM-drain cycle against a fresh daemon."""
+def run_cycle(label, extra_args, expect_workers=None,
+              module=("repro.serve",)):
+    """One boot → probe → SIGTERM-drain cycle against a fresh daemon
+    started as ``python -m <module...>``."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0",
+        [sys.executable, "-m", *module, "--port", "0",
          "--deadline", "60"] + extra_args,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env)
@@ -180,6 +184,7 @@ def run_cycle(label, extra_args, expect_workers=None):
 def main():
     leaked_before = set(leaked_segment_names())
     run_cycle("single", [])
+    run_cycle("amped serve", [], module=("repro", "serve"))
     if hasattr(os, "fork"):
         run_cycle("workers=2", ["--workers", "2", "--warm", "mingpt-85m",
                                 "--log-level", "error"],

@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="run the estimation-as-a-service HTTP daemon")
-    from repro.serve.server import add_serve_args
+    from repro.serve.config import add_serve_args
     add_serve_args(serve)
 
     calibrate = sub.add_parser(

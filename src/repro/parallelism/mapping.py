@@ -39,28 +39,33 @@ def enumerate_mappings(system: SystemSpec,
     :class:`ParallelismSpec` (e.g. ``n_microbatches`` or
     ``bubble_overlap_ratio``).
     """
-    node_size = system.node.n_accelerators
+    # Validated once (the explicit degrees make a degree name in
+    # ``spec_kwargs`` a TypeError); every mapping is a copy with its
+    # degrees set, which are positive divisors by construction.
+    prototype = ParallelismSpec(tp_intra=1, tp_inter=1, pp_intra=1,
+                                pp_inter=1, dp_intra=1, dp_inter=1,
+                                **spec_kwargs)
+    inter_triples = list(factor_triples(system.n_nodes))
     mappings = []
-    for tp_intra, pp_intra, dp_intra in factor_triples(node_size):
-        for tp_inter, pp_inter, dp_inter in factor_triples(system.n_nodes):
-            spec = ParallelismSpec(
+    for tp_intra, pp_intra, dp_intra in factor_triples(
+            system.node.n_accelerators):
+        for tp_inter, pp_inter, dp_inter in inter_triples:
+            if model is not None and not _model_allows(
+                    tp_intra * tp_inter, pp_intra * pp_inter, model,
+                    require_tp_divides_heads):
+                continue
+            mappings.append(prototype._copy_with(
                 tp_intra=tp_intra, tp_inter=tp_inter,
                 pp_intra=pp_intra, pp_inter=pp_inter,
-                dp_intra=dp_intra, dp_inter=dp_inter,
-                **spec_kwargs)
-            if model is not None and not _model_allows(
-                    spec, model, require_tp_divides_heads):
-                continue
-            mappings.append(spec)
+                dp_intra=dp_intra, dp_inter=dp_inter))
     return mappings
 
 
-def _model_allows(spec: ParallelismSpec, model: TransformerConfig,
+def _model_allows(tp: int, pp: int, model: TransformerConfig,
                   require_tp_divides_heads: bool) -> bool:
-    if spec.pp > model.n_layers:
+    if pp > model.n_layers:
         return False
-    if require_tp_divides_heads and spec.tp > 1 \
-            and model.n_heads % spec.tp != 0:
+    if require_tp_divides_heads and tp > 1 and model.n_heads % tp != 0:
         return False
     return True
 

@@ -162,7 +162,7 @@ class ParallelismSpec:
         ``self`` was built.  Sweeps call this once per tuned candidate.
         """
         _check_microbatches(n_microbatches)
-        return self._copy_with("n_microbatches", n_microbatches)
+        return self._copy_with(n_microbatches=n_microbatches)
 
     def with_overlap(self, bubble_overlap_ratio: float) -> "ParallelismSpec":
         """A copy with a different bubble overlap ratio ``R``.
@@ -171,12 +171,13 @@ class ParallelismSpec:
         """
         require_finite("bubble_overlap_ratio", bubble_overlap_ratio)
         _check_overlap_sign(bubble_overlap_ratio)
-        return self._copy_with("bubble_overlap_ratio", bubble_overlap_ratio)
+        return self._copy_with(bubble_overlap_ratio=bubble_overlap_ratio)
 
-    def _copy_with(self, name: str, value: object) -> "ParallelismSpec":
+    def _copy_with(self, **values: object) -> "ParallelismSpec":
+        # No validation: callers check the fields they change.
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.__dict__[name] = value
+        clone.__dict__.update(values)
         return clone
 
     def describe(self) -> str:

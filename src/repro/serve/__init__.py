@@ -9,51 +9,44 @@ failing, and a graceful SIGTERM drain.  The process-wide
 compiled-sweep cache stays warm across requests, so repeat estimates
 skip the table builds entirely.
 
+The package loads lazily (PEP 562): a public name imports its
+submodule on first access, so registering ``amped serve``'s arguments
+(:mod:`repro.serve.config`) loads neither the HTTP server nor NumPy.
+
 See ``docs/serving.md`` for endpoints, schemas and the failure-mode
 table.
 """
 
-from repro.serve.breaker import (
-    LADDER_RUNGS,
-    RUNG_EVALUATION_PATHS,
-    CircuitBreaker,
-    DegradationLadder,
-)
-from repro.serve.lifecycle import EstimationService, PendingRequest
-from repro.serve.server import (
-    ServeConfig,
-    ServeDaemon,
-    add_serve_args,
-    config_from_args,
-    main,
-    run_daemon,
-)
-from repro.serve.validation import (
-    INTER_LINK_CHOICES,
-    MAX_DEADLINE_S,
-    EstimateRequest,
-    error_body,
-    parse_estimate_request,
-    warm_request,
-)
+from importlib import import_module
 
-__all__ = [
-    "LADDER_RUNGS",
-    "RUNG_EVALUATION_PATHS",
-    "CircuitBreaker",
-    "DegradationLadder",
-    "EstimationService",
-    "PendingRequest",
-    "ServeConfig",
-    "ServeDaemon",
-    "add_serve_args",
-    "config_from_args",
-    "main",
-    "run_daemon",
-    "INTER_LINK_CHOICES",
-    "MAX_DEADLINE_S",
-    "EstimateRequest",
-    "error_body",
-    "parse_estimate_request",
-    "warm_request",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "LADDER_RUNGS": "breaker",
+    "RUNG_EVALUATION_PATHS": "breaker",
+    "CircuitBreaker": "breaker",
+    "DegradationLadder": "breaker",
+    "EstimationService": "lifecycle",
+    "PendingRequest": "lifecycle",
+    "ServeConfig": "config",
+    "ServeDaemon": "server",
+    "add_serve_args": "config",
+    "config_from_args": "config",
+    "main": "server",
+    "run_daemon": "server",
+    "INTER_LINK_CHOICES": "validation",
+    "MAX_DEADLINE_S": "validation",
+    "EstimateRequest": "validation",
+    "error_body": "validation",
+    "parse_estimate_request": "validation",
+    "warm_request": "validation",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -200,51 +200,82 @@ class TestCommands:
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: Runs ``python -m repro estimate`` in this interpreter, then reports
-#: which of the named modules it left loaded.
-_ESTIMATE_THEN_LIST_MODULES = """
+#: Runs ``python -m repro`` with the argv given as ``sys.argv[1]`` in
+#: this interpreter, then reports which of the modules named in
+#: ``sys.argv[2]`` it left loaded.
+_RUN_THEN_LIST_MODULES = """
 import json, runpy, sys
-sys.argv = ["repro", "estimate", "--tp", "8", "--dp", "2",
-            "--nodes", "2", "--batch", "256"]
+argv, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+sys.argv = ["repro"] + argv
 try:
     runpy.run_module("repro", run_name="__main__")
 except SystemExit as done:
     assert not done.code, done.code
-names = ("multiprocessing", "multiprocessing.shared_memory",
-         "repro.search.shm")
 sys.stderr.write(json.dumps([n for n in names if n in sys.modules]))
 """
 
+#: The daemon and its transitive imports: no CLI subcommand but
+#: ``serve`` needs them.
+_DAEMON_MODULES = ["repro.serve.lifecycle", "repro.serve.server",
+                   "http.server"]
 
-def _run_in_fresh_interpreter(code):
+
+def _run_in_fresh_interpreter(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]]
                                if env.get("PYTHONPATH") else []))
     completed = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
     return completed
 
 
+def _run_cli_listing_modules(argv, names):
+    completed = _run_in_fresh_interpreter(
+        _RUN_THEN_LIST_MODULES, json.dumps(argv), json.dumps(names))
+    return completed.stdout, json.loads(completed.stderr.splitlines()[-1])
+
+
 def test_estimate_loads_no_multiprocessing():
-    # A one-shot estimate never forks or shares memory; its imports
-    # (parser -> serve daemon -> repro.search) must not drag the
-    # multiprocessing package in.
-    completed = _run_in_fresh_interpreter(_ESTIMATE_THEN_LIST_MODULES)
-    assert "training time breakdown" in completed.stdout
-    assert json.loads(completed.stderr.splitlines()[-1]) == []
+    # A one-shot estimate never forks or shares memory, and evaluates
+    # one closed form: it must not import the sweep runtime, NumPy or
+    # the daemon (the parser registers ``serve`` from its stdlib-only
+    # config module).
+    stdout, loaded = _run_cli_listing_modules(
+        ["estimate", "--tp", "8", "--dp", "2", "--nodes", "2",
+         "--batch", "256"],
+        ["multiprocessing", "multiprocessing.shared_memory",
+         "repro.search.shm", "numpy", "repro.search.dse",
+         "repro.search.resilience", "repro.search.vectorized",
+         *_DAEMON_MODULES])
+    assert "training time breakdown" in stdout
+    assert loaded == []
+
+
+def test_sweep_loads_no_daemon():
+    stdout, loaded = _run_cli_listing_modules(
+        ["sweep", "--model", "megatron-1.7b", "--nodes", "2",
+         "--batch", "256", "--top", "3"],
+        ["multiprocessing", *_DAEMON_MODULES])
+    assert "megatron" in stdout.lower()
+    assert loaded == []
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.search", "repro.cli",
-                                    "repro.serve.server"])
+                                    "repro.serve", "repro.serve.server"])
 def test_import_loads_no_multiprocessing(module):
     # Only the pre-fork fleet (repro.serve.multiproc) forks; importing
     # the package, the search layer, the CLI or the single-process
     # daemon loads neither multiprocessing nor the leak-check module.
+    # The packages load their submodules lazily, so only the daemon
+    # module itself may pull in NumPy.
+    names = ["multiprocessing", "repro.search.shm"]
+    if module != "repro.serve.server":
+        names.append("numpy")
     completed = _run_in_fresh_interpreter(
         f"import json, sys, {module}\n"
-        "names = ('multiprocessing', 'repro.search.shm')\n"
+        f"names = {names!r}\n"
         "print(json.dumps([n for n in names if n in sys.modules]))\n")
     assert json.loads(completed.stdout.splitlines()[-1]) == []

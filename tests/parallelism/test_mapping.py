@@ -1,13 +1,18 @@
 """Unit tests for mapping enumeration and named mappings."""
 
+import random
+
 import pytest
 
-from repro.errors import MappingError
+from repro.errors import ConfigurationError, MappingError
+from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.mapping import (
     enumerate_mappings,
     factor_triples,
     mapping_for,
 )
+from repro.parallelism.spec import ParallelismSpec
+from repro.transformer.zoo import MODELS
 
 
 class TestFactorTriples:
@@ -44,6 +49,47 @@ class TestEnumeration:
     def test_kwargs_forwarded(self, small_system):
         mappings = enumerate_mappings(small_system, n_microbatches=5)
         assert all(spec.microbatches == 5 for spec in mappings)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_direct_construction(self, seed):
+        # Each mapping is a copy of one validated prototype; it must
+        # equal the spec built field by field, in the same order.
+        rng = random.Random(seed)
+        system = megatron_a100_cluster(
+            n_nodes=rng.choice((1, 2, 3, 4, 12, 16, 64)),
+            accelerators_per_node=rng.choice((1, 2, 4, 6, 8)), n_nics=1)
+        kwargs = rng.choice([{}, {"n_microbatches": 3},
+                             {"bubble_overlap_ratio": 0.5,
+                              "expert_parallel": False}])
+        model = MODELS[rng.choice(sorted(MODELS))]
+        direct = [
+            ParallelismSpec(tp_intra=tp_intra, tp_inter=tp_inter,
+                            pp_intra=pp_intra, pp_inter=pp_inter,
+                            dp_intra=dp_intra, dp_inter=dp_inter, **kwargs)
+            for tp_intra, pp_intra, dp_intra in factor_triples(
+                system.node.n_accelerators)
+            for tp_inter, pp_inter, dp_inter in factor_triples(
+                system.n_nodes)]
+        for require_heads in (True, False):
+            expected = [spec for spec in direct
+                        if spec.pp <= model.n_layers and not (
+                            require_heads and spec.tp > 1
+                            and model.n_heads % spec.tp)]
+            got = enumerate_mappings(system, model, require_heads, **kwargs)
+            assert [vars(spec) for spec in got] == [vars(spec)
+                                                    for spec in expected]
+        got = enumerate_mappings(system, **kwargs)
+        assert [vars(spec) for spec in got] == [vars(spec)
+                                                for spec in direct]
+
+    def test_bad_kwargs_raise_before_filtering(self, small_system,
+                                               tiny_model):
+        with pytest.raises(ConfigurationError):
+            enumerate_mappings(small_system, tiny_model, n_microbatches=0)
+
+    def test_degree_in_kwargs_is_a_type_error(self, small_system):
+        with pytest.raises(TypeError):
+            enumerate_mappings(small_system, tp_intra=2)
 
 
 class TestMappingFor:
