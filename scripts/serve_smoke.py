@@ -4,9 +4,9 @@
 Launches the daemon as a real subprocess and exercises liveness, one
 genuine estimate round-trip and the metrics endpoint, then SIGTERMs it
 and asserts a clean graceful shutdown: exit code 0, "shutdown
-complete" printed, no orphaned daemon processes left behind.  The
-cycle runs three times — the single-process daemon through both entry
-points (``python -m repro.serve`` and ``python -m repro serve``, the
+complete" printed, and no process left in the daemon's process group.
+The cycle runs three times — the single-process daemon through both
+entry points (``python -m repro.serve`` and ``python -m repro serve``, the
 ``amped serve`` subcommand), then a ``--workers 2`` pre-fork fleet
 (where ``/readyz`` must report the two-worker quorum) — and finishes
 with the shared-memory leak check: no ``amped-*`` segment may survive
@@ -53,18 +53,26 @@ def post_json(url, payload, timeout=60):
         return reply.status, json.loads(reply.read())
 
 
-def orphaned_serve_pids():
-    """PIDs (other than ours) running ``repro.serve`` or ``repro serve``."""
+def orphaned_group_pids(pgid):
+    """PIDs still alive in process group ``pgid``.
+
+    Each daemon starts in a session of its own, so its group holds the
+    daemon and every worker it forked, and a worker keeps the group
+    after the daemon exits.  Other processes on the machine, whatever
+    their command line, are never counted.
+    """
     pids = []
     for entry in os.listdir("/proc"):
-        if not entry.isdigit() or int(entry) == os.getpid():
+        if not entry.isdigit():
             continue
         try:
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read().decode("utf-8", "replace")
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                stat = handle.read()
         except OSError:
             continue
-        if "repro.serve" in cmdline or "repro\0serve" in cmdline:
+        # Fields after the parenthesised command: state, ppid, pgrp.
+        fields = stat[stat.rindex(b")") + 2:].split()
+        if int(fields[2]) == pgid:
             pids.append(int(entry))
     return pids
 
@@ -81,7 +89,7 @@ def run_cycle(label, extra_args, expect_workers=None,
         [sys.executable, "-m", *module, "--port", "0",
          "--deadline", "60"] + extra_args,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=env)
+        env=env, start_new_session=True)
     try:
         base = None
         deadline = time.monotonic() + 90.0
@@ -171,13 +179,16 @@ def run_cycle(label, extra_args, expect_workers=None,
                  f"{tail!r}")
         print(f"[{label}] SIGTERM drain ok (exit 0)")
 
-        orphans = orphaned_serve_pids()
+        orphans = orphaned_group_pids(process.pid)
         if orphans:
-            fail(f"[{label}] orphaned repro.serve processes: {orphans}")
+            fail(f"[{label}] orphaned daemon processes: {orphans}")
         print(f"[{label}] no orphaned workers")
     finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         if process.poll() is None:
-            process.kill()
             process.wait(10.0)
 
 

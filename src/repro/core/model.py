@@ -49,7 +49,7 @@ from repro.core.compute import (
 from repro.core.operations import build_operations
 
 #: Recognized Eq. 1 evaluation strategies (see :class:`AMPeD`).
-EVALUATION_PATHS = ("per_layer", "compiled", "vectorized")
+EVALUATION_PATHS = ("per_layer", "compiled")
 
 #: Fields that do NOT identify a sweep (see :meth:`AMPeD.sweep_identity`):
 #: the mapping varies per candidate, the evaluation path is a strategy
@@ -128,10 +128,10 @@ class AMPeD:
         multiplicity; Eq. 1 is linear in every per-layer term, so this
         is exact up to floating-point associativity (``<= 1e-9``
         relative on every breakdown component, enforced by the property
-        suite).  ``"vectorized"`` is the same route for one estimate
-        and selects the NumPy executor in sweeps.  ``"per_layer"``
-        walks all ``n_layers`` layers and serves as the literal
-        reference path.  See ``docs/performance.md``.
+        suite); in a sweep the same tables are read by the NumPy array
+        program.  ``"per_layer"`` walks all ``n_layers`` layers and
+        serves as the literal reference path.  See
+        ``docs/performance.md``.
     validate:
         Check the mapping against the system and model on construction
         (disable only for deliberately hypothetical shapes).
@@ -234,10 +234,6 @@ class AMPeD:
         if self.evaluation_path != "per_layer":
             # Term-table route: identical arithmetic, factored into
             # per-term lookup tables shared across the whole sweep.
-            # A lone estimate has no batch to vectorize, so
-            # "vectorized" uses the same scalar tables here; the array
-            # backend engages in explore()/run_sweep(), which evaluate
-            # whole candidate batches (repro.search.vectorized).
             # Imported lazily — repro.search.compiler imports this
             # module for typing.
             from repro.search.compiler import compile_sweep

@@ -162,13 +162,12 @@ def explore(amped: AMPeD, global_batch: int,
     evaluation_path:
         How each candidate evaluates Eq. 1 — overrides the template's
         own setting.  ``"compiled"`` (default) reads the sweep
-        compiler's term tables and runs as the ``"vectorized"`` array
-        program over each candidate chunk (see
-        :func:`repro.search.vectorized.resolve_evaluation_path`).
-        ``"per_layer"`` keeps the uncompiled reference walk.  All paths
-        agree within floating-point associativity (compiled and
-        vectorized bit for bit) and produce identical skip categories
-        and rankings.
+        compiler's term tables, as one array program per candidate
+        chunk (:func:`repro.search.vectorized.evaluate_chunk`).
+        ``"per_layer"`` keeps the uncompiled reference walk.  Both
+        paths agree within floating-point associativity (the arrays
+        and the scalar tables bit for bit) and produce identical skip
+        categories and rankings.
     """
     # resilience imports this module; import it when called.
     from repro.search.resilience import run_sweep
@@ -216,11 +215,8 @@ def evaluate_candidate(template: AMPeD, spec: ParallelismSpec,
     detail strings exactly.  While tracing is enabled the generic route
     runs instead, so compiled sweeps emit the same per-estimate spans.
     """
-    if (template.evaluation_path in ("compiled", "vectorized")
+    if (template.evaluation_path == "compiled"
             and not get_tracer().enabled):
-        # A single candidate has no batch to vectorize, so
-        # "vectorized" shares the scalar term-table route here; the
-        # array backend engages on whole chunks in explore/run_sweep.
         return _evaluate_candidate_compiled(
             template, spec, global_batch, tune_microbatches,
             enforce_memory)

@@ -77,11 +77,7 @@ from repro.search.dse import (
     evaluate_candidate,
     validate_max_results,
 )
-from repro.search.vectorized import (
-    DEFAULT_CHUNK_CANDIDATES,
-    evaluate_chunk,
-    resolve_evaluation_path,
-)
+from repro.search.vectorized import DEFAULT_CHUNK_CANDIDATES, evaluate_chunk
 
 _LOG = logging.getLogger("repro.search.resilience")
 
@@ -433,8 +429,8 @@ def run_sweep(template: AMPeD, global_batch: int,
     evaluation_path:
         How each candidate evaluates Eq. 1 (``"compiled"`` default;
         see :func:`repro.search.dse.explore`) — overrides the
-        template's own setting.  ``"compiled"`` runs as
-        ``"vectorized"``, unless a custom ``evaluate`` takes every
+        template's own setting.  ``"compiled"`` evaluates each chunk
+        as one array program, unless a custom ``evaluate`` takes every
         candidate.  Recorded in the journal header for
         provenance but *not* part of the resume identity: every path
         produces the same ranking and skip categories, so a journal
@@ -444,9 +440,6 @@ def run_sweep(template: AMPeD, global_batch: int,
     if mappings is None:
         mappings = enumerate_mappings(template.system, template.model)
     custom_evaluate = evaluate is not None
-    if not custom_evaluate:
-        evaluation_path = resolve_evaluation_path(evaluation_path,
-                                                  len(mappings))
     if evaluation_path != template.evaluation_path:
         template = replace(template, evaluation_path=evaluation_path)
     if evaluate is None:

@@ -21,9 +21,10 @@ that inner loop into NumPy array operations:
    ``_combine``'s association order operation for operation.  IEEE-754
    elementwise array ops round identically to the scalar ops (NumPy
    performs no re-association and no FMA contraction for these
-   expressions), so vectorized batch times are **bit-exact** against
-   ``evaluation_path="compiled"`` and therefore ≤ 1e-9 relative against
-   ``"per_layer"`` — the property suite enforces both.
+   expressions), so array batch times are **bit-exact** against the
+   scalar term-table route (:func:`~repro.search.dse.evaluate_candidate`)
+   and therefore ≤ 1e-9 relative against ``"per_layer"`` — the property
+   suite enforces both.
 
 The microbatch-tuning axis rides along as extra *lanes*: communication
 terms are independent of ``N_ub``, so each candidate expands into one
@@ -38,9 +39,10 @@ compiled sweep's memory screen, one
 ``(tp, pp, dp, N_ub)``, restricts the lanes ``best_microbatch`` picks
 from and leaves the lower bound alone.
 
-:func:`resolve_evaluation_path` routes every default ``"compiled"``
-sweep to this backend; ``run_sweep`` (and ``explore``, which calls it)
-runs it in this process, chunk by chunk through :func:`evaluate_chunk`.
+Every ``"compiled"`` sweep runs on this backend: ``run_sweep`` (and
+``explore``, which calls it) runs it in this process, chunk by chunk
+through :func:`evaluate_chunk`.  A single estimate, and every serve
+request, reads the scalar term tables instead.
 See ``docs/performance.md`` for the key-index layout and the full
 bit-exactness argument.
 """
@@ -104,10 +106,14 @@ _TABLE_ROWS = ((_DP, _PP, _R), (_DP, _PP, _R, _TP))
 
 
 def resolve_evaluation_path(requested: str, n_candidates: int) -> str:
-    """The evaluation path a sweep should actually run.
+    """The evaluation path a sweep once resolved ``requested`` to.
 
-    A default ``"compiled"`` request runs on the NumPy backend, at any
-    ``n_candidates``.  Everything else passes through untouched.
+    ``"compiled"`` maps to ``"vectorized"``, at any ``n_candidates``;
+    everything else passes through untouched.  No code in ``src/``
+    calls it: ``run_sweep`` runs the arrays for every ``"compiled"``
+    sweep, and ``"vectorized"`` is no longer an evaluation path.  It
+    stays only for ``benchmarks/e2e``'s imports, and goes with them
+    (ROADMAP item 10).
     """
     if requested == "compiled":
         return "vectorized"
@@ -115,8 +121,10 @@ def resolve_evaluation_path(requested: str, n_candidates: int) -> str:
 
 
 def threshold_info() -> Dict[str, object]:
-    """The candidate count from which ``"compiled"`` sweeps run
-    vectorized: every sweep, so the threshold is one candidate."""
+    """The candidate count from which ``"compiled"`` sweeps run on the
+    arrays: every sweep, so the threshold is one candidate.  No code in
+    ``src/`` calls it; it stays only for ``benchmarks/e2e``'s imports,
+    and goes with them (ROADMAP item 10)."""
     return {"threshold": 1, "source": "constant"}
 
 
@@ -173,9 +181,7 @@ class BoundBatch:
     sweep's dict tables *and* in dense arrays).  Evaluation is then
     pure gather+sum.  With ``enforce_memory`` every lane is also
     looked up in the compiled sweep's memory screen, which masks the
-    lanes :meth:`best_lanes` picks from.  The object is picklable: it
-    holds only arrays, plain metadata and the (picklable) compiled
-    sweep.
+    lanes :meth:`best_lanes` picks from.
     """
 
     def __init__(self, compiled: CompiledSweep,

@@ -4,10 +4,10 @@
 estimator over HTTP/JSON with the robustness machinery a long-lived
 process needs: strict request validation, a bounded admission queue,
 per-request deadlines, a circuit breaker that degrades evaluation
-quality (``vectorized → compiled → serial``) instead of
-failing, and a graceful SIGTERM drain.  The process-wide
-compiled-sweep cache stays warm across requests, so repeat estimates
-skip the table builds entirely.
+from the term tables to the per-layer reference walk
+(``compiled → per_layer``) instead of failing, and a graceful
+SIGTERM drain.  The process-wide compiled-sweep cache stays warm
+across requests, so repeat estimates skip the table builds entirely.
 
 The package loads lazily (PEP 562): a public name imports its
 submodule on first access, so registering ``amped serve``'s arguments
@@ -22,7 +22,6 @@ from importlib import import_module
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
     "LADDER_RUNGS": "breaker",
-    "RUNG_EVALUATION_PATHS": "breaker",
     "CircuitBreaker": "breaker",
     "DegradationLadder": "breaker",
     "EstimationService": "lifecycle",

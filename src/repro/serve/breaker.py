@@ -2,11 +2,11 @@
 
 Two cooperating pieces of failure containment:
 
-- :class:`DegradationLadder` mirrors ``run_sweep``'s permanent-
-  degradation policy at the request boundary: evaluation quality steps
-  down ``vectorized → compiled → serial`` one rung per
-  breaker trip, trading throughput for simpler machinery, and steps
-  back up (never above its starting rung) after sustained recovery.
+- :class:`DegradationLadder` is a permanent-degradation policy at the
+  request boundary: evaluation steps down ``compiled → per_layer``
+  one rung per breaker trip, trading throughput for the reference
+  walk that shares no code with the term tables, and steps back up
+  (never above its starting rung) after sustained recovery.
 - :class:`CircuitBreaker` is the classic three-state machine
   (``closed → open → half_open``) around the evaluation path: repeated
   evaluation failures trip it, an open breaker sheds requests
@@ -29,18 +29,12 @@ from typing import Callable, Dict, Optional
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 
-#: The degradation ladder, best rung first.  Each rung names the
-#: coarse serving mode; :data:`RUNG_EVALUATION_PATHS` maps it to the
-#: estimator's ``evaluation_path`` vocabulary (the "serial" rung is
-#: the per-layer reference walk — slowest, and the only rung that
-#: shares no code with the term tables).
-LADDER_RUNGS = ("vectorized", "compiled", "serial")
-
-RUNG_EVALUATION_PATHS = {
-    "vectorized": "vectorized",
-    "compiled": "compiled",
-    "serial": "per_layer",
-}
+#: The degradation ladder, best rung first.  Each rung is an estimator
+#: ``evaluation_path``: the term tables, then the per-layer reference
+#: walk (slowest, and the only path that shares no code with the
+#: tables).  ``serve.degradation_rung`` is the index: 0 = compiled,
+#: 1 = per_layer.
+LADDER_RUNGS = ("compiled", "per_layer")
 
 #: Gauge encoding of breaker states.
 _STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
@@ -49,7 +43,7 @@ _STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 class DegradationLadder:
     """Current evaluation rung, stepped by the circuit breaker."""
 
-    def __init__(self, start: str = "vectorized") -> None:
+    def __init__(self, start: str = "compiled") -> None:
         if start not in LADDER_RUNGS:
             raise ConfigurationError(
                 f"degradation rung must be one of {LADDER_RUNGS}, "
@@ -69,10 +63,8 @@ class DegradationLadder:
         with self._lock:
             return LADDER_RUNGS[self._index]
 
-    @property
-    def evaluation_path(self) -> str:
-        """The estimator ``evaluation_path`` for the active rung."""
-        return RUNG_EVALUATION_PATHS[self.current]
+    #: The estimator ``evaluation_path`` of the active rung: the rung.
+    evaluation_path = current
 
     def degrade(self) -> bool:
         """Step one rung down; False when already at the bottom."""

@@ -15,15 +15,14 @@ request arrived" and "a status + JSON payload is ready":
   finish as a daemon — the estimator has no kill switch, but the
   *request* never waits past its deadline and the breaker records the
   overrun so repeats trip it).
-- **coalescing** — each dispatch drains up to ``max_batch`` queued
+- **coalescing** — each dispatch drains up to :data:`MAX_BATCH` queued
   requests and groups them by :meth:`EstimateRequest.group_key`; a
-  group shares one template + compiled-sweep build, and on the
-  vectorized rung evaluates as a single batched array pass.
+  group shares one template + compiled-sweep build, and each distinct
+  mapping in it evaluates once on the scalar term tables.
 - **graceful degradation** — evaluation failures feed the
   :class:`~repro.serve.breaker.CircuitBreaker`, which steps the
   :class:`~repro.serve.breaker.DegradationLadder` down
-  ``vectorized → compiled → serial`` and probes its way
-  back up.
+  ``compiled → per_layer`` and probes its way back up.
 - **drain** — :meth:`reject_new` flips the service into draining mode
   (new submissions get a structured 503) while queued and in-flight
   requests complete; :meth:`stop` then joins the dispatcher.
@@ -61,12 +60,7 @@ from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.parallelism.spec import spec_from_totals
 from repro.search.compiler import compile_sweep, compiled_cache_stats
 from repro.search.dse import evaluate_candidate
-from repro.search.vectorized import evaluate_chunk
-from repro.serve.breaker import (
-    RUNG_EVALUATION_PATHS,
-    CircuitBreaker,
-    DegradationLadder,
-)
+from repro.serve.breaker import CircuitBreaker, DegradationLadder
 from repro.serve.validation import EstimateRequest, error_body
 from repro.transformer.zoo import get_model
 
@@ -76,6 +70,12 @@ _INTER_LINKS = {"edr": IB_EDR, "hdr": IB_HDR, "ndr": IB_NDR}
 
 #: Dispatcher shutdown sentinel.
 _STOP = object()
+
+#: Requests one dispatch drains, so a group holds at most this many
+#: distinct mappings.  Up to 16 the scalar term tables evaluate a group
+#: faster than one NumPy array pass would (that pass pays a fixed cost
+#: of ~40 small array operations), so groups never use the arrays.
+MAX_BATCH = 16
 
 #: Monotonic per-process sequence folded into trace ids.
 _TRACE_SEQUENCE = itertools.count(1)
@@ -178,7 +178,6 @@ class EstimationService:
 
     def __init__(self, queue_limit: int = 64,
                  default_deadline_s: float = 10.0,
-                 max_batch: int = 16,
                  breaker: Optional[CircuitBreaker] = None,
                  ladder: Optional[DegradationLadder] = None,
                  efficiency: Optional[object] = None,
@@ -189,7 +188,6 @@ class EstimationService:
                  prewarm: bool = False) -> None:
         self.queue_limit = queue_limit
         self.default_deadline_s = default_deadline_s
-        self.max_batch = max_batch
         if breaker is not None:
             self.breaker = breaker
             self.ladder = breaker.ladder
@@ -269,7 +267,7 @@ class EstimationService:
             item = self._queue.get()
             stopping = item is _STOP
             batch: List[PendingRequest] = [] if stopping else [item]
-            while len(batch) < self.max_batch and not stopping:
+            while len(batch) < MAX_BATCH and not stopping:
                 try:
                     extra = self._queue.get_nowait()
                 except queue.Empty:
@@ -377,8 +375,7 @@ class EstimationService:
             return [self._evaluate(p.request) for p in group]
 
         first = group[0].request
-        rung = self.ladder.current
-        path = RUNG_EVALUATION_PATHS[rung]
+        path = self.ladder.current
         system = system_for(first)
         model = get_model(first.model)
         template = AMPeD.for_mapping(
@@ -410,23 +407,9 @@ class EstimationService:
                 unique_specs.append(spec)
             lanes.append((index, lane))
 
-        outcomes: List[Optional[object]] = [None] * len(unique_specs)
-        if rung == "vectorized" and len(unique_specs) >= 2:
-            # The coalescing payoff: one compiled build, one batched
-            # array pass over every distinct spec in the group.
-            compiled = compile_sweep(template, global_batch)
-            __, chunk_outcomes = evaluate_chunk(
-                template, compiled, unique_specs, global_batch,
-                tune_microbatches=False)
-            outcomes = list(chunk_outcomes)
-        for lane, spec in enumerate(unique_specs):
-            if outcomes[lane] is None:
-                # Scalar route: either the rung is non-vectorized, or
-                # the array path declined this lane (infeasible /
-                # non-finite) and the scalar walk categorizes it.
-                outcomes[lane] = evaluate_candidate(
-                    template, spec, global_batch,
-                    tune_microbatches=False)
+        outcomes = [evaluate_candidate(template, spec, global_batch,
+                                       tune_microbatches=False)
+                    for spec in unique_specs]
         for index, lane in lanes:
             responses[index] = self._response_for(
                 group[index].request, template, system,
@@ -511,8 +494,7 @@ class EstimationService:
                 template = AMPeD.for_mapping(
                     model, system, dp=system.n_accelerators,
                     efficiency=self.efficiency,
-                    evaluation_path=RUNG_EVALUATION_PATHS[
-                        self.ladder.current])
+                    evaluation_path=self.ladder.current)
                 compile_sweep(template, neighbour.batch)
                 metrics.counter("serve.prewarm.built").inc()
             except Exception:  # noqa: BLE001 — best-effort cache warming must never disturb serving

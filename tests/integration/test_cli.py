@@ -264,16 +264,17 @@ def test_sweep_loads_no_daemon():
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.search", "repro.cli",
-                                    "repro.serve", "repro.serve.server"])
+                                    "repro.serve", "repro.serve.lifecycle",
+                                    "repro.serve.server"])
 def test_import_loads_no_multiprocessing(module):
     # Only the pre-fork fleet (repro.serve.multiproc) forks; importing
     # the package, the search layer, the CLI or the single-process
     # daemon loads neither multiprocessing nor the leak-check module.
-    # The packages load their submodules lazily, so only the daemon
-    # module itself may pull in NumPy.
-    names = ["multiprocessing", "repro.search.shm"]
-    if module != "repro.serve.server":
-        names.append("numpy")
+    # The packages load their submodules lazily, and the daemon
+    # evaluates every request on the scalar term tables, so none pulls
+    # in NumPy or the array backend.
+    names = ["multiprocessing", "repro.search.shm", "numpy",
+             "repro.search.vectorized"]
     completed = _run_in_fresh_interpreter(
         f"import json, sys, {module}\n"
         f"names = {names!r}\n"

@@ -3,17 +3,21 @@
 The vectorized backend (:mod:`repro.search.vectorized`) evaluates
 batches of candidates column-wise over the compiled term tables,
 replaying the scalar combiner's association order with float64
-elementwise NumPy ops — so it owes the compiled path *bit-exact*
-agreement, and therefore inherits the compiled path's 1e-9 bar against
-the per-layer reference.  This module pins both across every zoo
-model, plus whole-sweep identity: explore() rankings, run_sweep()
-skip counters and journal rows, with pruning on and off.
+elementwise NumPy ops — so it owes the scalar term-table route
+(:func:`~repro.search.dse.evaluate_candidate`) *bit-exact* agreement,
+and therefore inherits its 1e-9 bar against the per-layer reference.
+This module pins both across every zoo model, plus whole-sweep
+identity: explore() rankings, run_sweep() skip counters and journal
+rows, with pruning on and off.  A default (``"compiled"``) sweep runs
+on the arrays; the same sweep with ``evaluate_candidate`` passed as
+its ``evaluate`` walks the scalar route candidate by candidate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -82,6 +86,12 @@ def test_chunk_matches_scalar_paths(model_key, tune, system):
                 f"{reference.result.batch_time_s!r}")
 
 
+def _scalar_route(template):
+    """``evaluate_candidate`` bound as ``run_sweep`` binds its default:
+    as a custom ``evaluate``, it takes every candidate one by one."""
+    return partial(evaluate_candidate, template, global_batch=GLOBAL_BATCH)
+
+
 @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
 def test_explore_ranking_identical_across_paths(prune, system):
     """explore() returns the same ranked labels, and times within the
@@ -90,16 +100,20 @@ def test_explore_ranking_identical_across_paths(prune, system):
     template = AMPeD.for_mapping(MODELS["megatron-145b"], system,
                                  dp=system.n_accelerators)
     rankings = {}
-    for path in ("per_layer", "compiled", "vectorized"):
+    for path in ("per_layer", "compiled"):
         results = explore(template, GLOBAL_BATCH, max_results=5,
                           prune=prune, evaluation_path=path)
         rankings[path] = [(r.label, r.batch_time_s) for r in results]
-    assert [label for label, _ in rankings["vectorized"]] \
+    scalar = run_sweep(template, GLOBAL_BATCH, max_results=5,
+                       prune=prune, strict=True,
+                       evaluate=_scalar_route(template))
+    assert [label for label, _ in rankings["compiled"]] \
         == [label for label, _ in rankings["per_layer"]]
-    # Bit-exact against compiled; 1e-9 against per-layer.
-    assert rankings["vectorized"] == rankings["compiled"]
+    # Bit-exact against the scalar tables; 1e-9 against per-layer.
+    assert rankings["compiled"] \
+        == [(r.label, r.batch_time_s) for r in scalar.results]
     for (_, vectorized_t), (_, reference_t) in zip(
-            rankings["vectorized"], rankings["per_layer"]):
+            rankings["compiled"], rankings["per_layer"]):
         scale = max(abs(reference_t), 1e-300)
         assert abs(vectorized_t - reference_t) / scale \
             <= RELATIVE_TOLERANCE
@@ -125,27 +139,25 @@ def test_run_sweep_pruner_parity(prune, tmp_path, system):
     same order."""
     template = AMPeD.for_mapping(MODELS["megatron-145b"], system,
                                  dp=system.n_accelerators)
-    outcomes = {}
-    for path in ("compiled", "vectorized"):
-        journal = tmp_path / f"{path}.jsonl"
-        outcomes[path] = (
-            run_sweep(template, GLOBAL_BATCH, max_results=5,
-                      prune=prune, evaluation_path=path,
-                      journal_path=journal),
-            journal)
-    compiled_outcome, compiled_journal = outcomes["compiled"]
-    vectorized_outcome, vectorized_journal = outcomes["vectorized"]
+    vectorized_journal = tmp_path / "vectorized.jsonl"
+    vectorized_outcome = run_sweep(template, GLOBAL_BATCH, max_results=5,
+                                   prune=prune,
+                                   journal_path=vectorized_journal)
+    scalar_journal = tmp_path / "scalar.jsonl"
+    scalar_outcome = run_sweep(template, GLOBAL_BATCH, max_results=5,
+                               prune=prune, journal_path=scalar_journal,
+                               evaluate=_scalar_route(template))
     assert [(r.label, r.batch_time_s)
             for r in vectorized_outcome.results] \
-        == [(r.label, r.batch_time_s) for r in compiled_outcome.results]
+        == [(r.label, r.batch_time_s) for r in scalar_outcome.results]
     assert vectorized_outcome.report.skipped \
-        == compiled_outcome.report.skipped
+        == scalar_outcome.report.skipped
     assert vectorized_outcome.report.evaluated \
-        == compiled_outcome.report.evaluated
+        == scalar_outcome.report.evaluated
     assert vectorized_outcome.report.n_candidates \
-        == compiled_outcome.report.n_candidates
+        == scalar_outcome.report.n_candidates
     assert _candidate_rows(vectorized_journal) \
-        == _candidate_rows(compiled_journal)
+        == _candidate_rows(scalar_journal)
 
 
 def test_run_sweep_survivor_sets_identical(system):
@@ -155,11 +167,12 @@ def test_run_sweep_survivor_sets_identical(system):
     template = AMPeD.for_mapping(MODELS["mingpt-85m"], system,
                                  dp=system.n_accelerators)
     survivors = {}
-    for path in ("compiled", "vectorized"):
+    for route, evaluate in (("vectorized", None),
+                            ("scalar", _scalar_route(template))):
         outcome = run_sweep(template, GLOBAL_BATCH, max_results=3,
-                            prune=True, evaluation_path=path)
-        survivors[path] = (
+                            prune=True, evaluate=evaluate)
+        survivors[route] = (
             outcome.report.evaluated,
             dict(outcome.report.skipped),
             [(r.label, r.batch_time_s) for r in outcome.results])
-    assert survivors["vectorized"] == survivors["compiled"]
+    assert survivors["vectorized"] == survivors["scalar"]

@@ -121,6 +121,21 @@ class TestRankingEquivalence:
         assert report.covered == report.n_candidates
         assert report.evaluated >= 5
 
+    def test_vectorized_is_not_an_evaluation_path(self, template):
+        # "compiled" sweeps run on the arrays; no separate path names
+        # them, so every entry point rejects the old name.
+        with pytest.raises(ConfigurationError,
+                           match="evaluation_path must be one of"):
+            replace(template, evaluation_path="vectorized")
+        with pytest.raises(ConfigurationError,
+                           match="evaluation_path must be one of"):
+            explore(template, 64, max_results=5,
+                    evaluation_path="vectorized")
+        with pytest.raises(ConfigurationError,
+                           match="evaluation_path must be one of"):
+            run_sweep(template, 64, max_results=5,
+                      evaluation_path="vectorized")
+
 
 # --------------------------------------------------------------------------
 # Crashing evaluation function: a worker_error skip, or WorkerError
@@ -318,6 +333,35 @@ class TestResume:
         assert counters["runs"] == 2
         assert counters["worker_errors"] == 1
         assert counters["interrupts"] == 1
+
+    def test_resume_journal_written_as_vectorized(self, template,
+                                                  tmp_path):
+        """Default sweeps once wrote ``"vectorized"`` into the journal
+        header.  Such a journal resumes with the uninterrupted ranking
+        and skip counts, and a new journal records ``"compiled"``."""
+        journal = tmp_path / "sweep.jsonl"
+        uninterrupted = run_sweep(template, 64, max_results=3,
+                                  journal_path=journal)
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["evaluation_path"] == "compiled"
+        header["evaluation_path"] = "vectorized"
+        candidates = [line for line in lines[1:]
+                      if json.loads(line)["kind"] == "candidate"]
+        kept = candidates[:-3]
+        journal.write_text("\n".join([json.dumps(header)] + kept) + "\n")
+
+        resumed = run_sweep(template, 64, max_results=3,
+                            journal_path=journal, resume=True)
+        assert not resumed.partial
+        assert resumed.report.resumed == sum(
+            json.loads(line)["status"] == "evaluated" for line in kept)
+        assert [(r.label, r.batch_time_s) for r in resumed.results] \
+            == [(r.label, r.batch_time_s) for r in uninterrupted.results]
+        assert uninterrupted.report.skipped.get("pruned")
+        assert resumed.report.skipped == uninterrupted.report.skipped
+        assert resumed.report.evaluated + resumed.report.resumed \
+            == uninterrupted.report.evaluated
 
     def test_journal_records_every_fate(self, template, tmp_path):
         journal = tmp_path / "sweep.jsonl"

@@ -32,7 +32,6 @@ from repro.hardware.catalog import megatron_a100_cluster
 from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
 from repro.search import resilience as resilience_module
-from repro.search import vectorized as vectorized_module
 from repro.search.compiler import CompiledSweep, clear_compiled_cache
 from repro.search.dse import evaluate_candidate
 from repro.search.resilience import run_sweep
@@ -109,9 +108,10 @@ def test_cells_cover_every_shape():
 def test_default_sweep_matches_scalar_route(key, n_nodes, batch):
     template = _template(key, n_nodes)
     mappings = enumerate_mappings(template.system, template.model)
-    assert vectorized_module.resolve_evaluation_path(
-        "compiled", len(mappings)) == "vectorized"
+    builds = vectorized_stats()["builds"]
     vectorized = _ranked(template, batch, mappings)
+    assert vectorized_stats()["builds"] > builds, \
+        "the default sweep binds its candidates as arrays"
     scalar = _ranked(template, batch, mappings,
                      _scalar_route(template, batch, True, False))
 
@@ -219,7 +219,7 @@ def test_custom_evaluate_asks_the_arrays_for_bounds_only(monkeypatch):
     assert not built and not reduced
 
 
-@pytest.mark.parametrize("path", ["per_layer", "compiled", "vectorized"])
+@pytest.mark.parametrize("path", ["per_layer", "compiled"])
 def test_custom_evaluate_ranks_like_the_default_route(path):
     """Bounds-only chunk calls prune exactly what the default route
     prunes: the ranking, evaluated count and skip counts are equal."""

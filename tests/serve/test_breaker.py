@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core.model import EVALUATION_PATHS
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.serve.breaker import (
     LADDER_RUNGS,
-    RUNG_EVALUATION_PATHS,
     CircuitBreaker,
     DegradationLadder,
 )
@@ -32,39 +32,49 @@ def make_breaker(clock, **kwargs):
     kwargs.setdefault("failure_threshold", 3)
     kwargs.setdefault("cooldown_s", 5.0)
     kwargs.setdefault("recovery_successes", 2)
-    kwargs.setdefault("ladder", DegradationLadder("vectorized"))
+    kwargs.setdefault("ladder", DegradationLadder("compiled"))
     return CircuitBreaker(clock=clock, **kwargs)
 
 
 class TestLadder:
 
     def test_rung_vocabulary_is_closed(self):
-        assert set(RUNG_EVALUATION_PATHS) == set(LADDER_RUNGS)
+        assert LADDER_RUNGS == ("compiled", "per_layer")
+        assert set(LADDER_RUNGS) == set(EVALUATION_PATHS)
+
+    def test_starts_on_the_term_tables(self):
+        ladder = DegradationLadder()
+        assert ladder.current == "compiled"
+        assert get_metrics().snapshot()["gauges"][
+            "serve.degradation_rung"] == 0.0
 
     def test_degrades_to_bottom_then_stops(self):
-        ladder = DegradationLadder("vectorized")
+        ladder = DegradationLadder("compiled")
         seen = [ladder.current]
         while ladder.degrade():
             seen.append(ladder.current)
         assert seen == list(LADDER_RUNGS)
         assert ladder.degrade() is False
+        assert get_metrics().snapshot()["gauges"][
+            "serve.degradation_rung"] == 1.0
 
     def test_restore_never_exceeds_start(self):
         ladder = DegradationLadder("compiled")
         assert ladder.restore() is False
         ladder.degrade()
-        assert ladder.current == "serial"
+        assert ladder.current == "per_layer"
         assert ladder.restore() is True
         assert ladder.current == "compiled"
         assert ladder.restore() is False
 
-    def test_serial_rung_maps_to_per_layer(self):
-        ladder = DegradationLadder("serial")
-        assert ladder.evaluation_path == "per_layer"
+    @pytest.mark.parametrize("rung", LADDER_RUNGS)
+    def test_rung_is_the_evaluation_path(self, rung):
+        assert DegradationLadder(rung).evaluation_path == rung
 
-    def test_unknown_rung_rejected(self):
+    @pytest.mark.parametrize("rung", ["quantum", "vectorized", "serial"])
+    def test_unknown_rung_rejected(self, rung):
         with pytest.raises(ConfigurationError):
-            DegradationLadder("quantum")
+            DegradationLadder(rung)
 
 
 class TestBreaker:
@@ -78,7 +88,7 @@ class TestBreaker:
         assert breaker.admit() is None
         breaker.record_failure(boom)
         assert breaker.state == "open"
-        assert breaker.ladder.current == "compiled"
+        assert breaker.ladder.current == "per_layer"
         counters = get_metrics().snapshot()["counters"]
         assert counters["serve.breaker.opened"] == 1.0
         assert counters["serve.ladder.degraded"] == 1.0
@@ -103,7 +113,8 @@ class TestBreaker:
         assert breaker.state == "closed"
         assert breaker.admit() is None
 
-    def test_half_open_probe_failure_reopens_and_degrades(self, clock):
+    def test_half_open_probe_failure_reopens_on_the_bottom_rung(
+            self, clock):
         breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure(RuntimeError("boom"))
@@ -111,8 +122,11 @@ class TestBreaker:
         assert breaker.admit() is None
         breaker.record_failure(RuntimeError("still broken"))
         assert breaker.state == "open"
-        assert breaker.ladder.current == "serial"
+        assert breaker.ladder.current == "per_layer"
         assert breaker.admit() == pytest.approx(5.0)
+        counters = get_metrics().snapshot()["counters"]
+        assert counters["serve.breaker.opened"] == 2.0
+        assert counters["serve.ladder.degraded"] == 1.0
 
     def test_sustained_success_restores_the_ladder(self, clock):
         breaker = make_breaker(clock)
@@ -121,9 +135,9 @@ class TestBreaker:
         clock.advance(5.1)
         breaker.admit()
         breaker.record_success()  # closes; 1 consecutive success
-        assert breaker.ladder.current == "compiled"
+        assert breaker.ladder.current == "per_layer"
         breaker.record_success()  # 2nd: recovery_successes reached
-        assert breaker.ladder.current == "vectorized"
+        assert breaker.ladder.current == "compiled"
         counters = get_metrics().snapshot()["counters"]
         assert counters["serve.ladder.restored"] == 1.0
 
@@ -133,9 +147,9 @@ class TestBreaker:
         breaker.record_success()
         breaker.record_failure(RuntimeError("blip"))
         breaker.record_success()
-        assert breaker.ladder.current == "compiled"
+        assert breaker.ladder.current == "per_layer"
         breaker.record_success()
-        assert breaker.ladder.current == "vectorized"
+        assert breaker.ladder.current == "compiled"
 
     def test_describe_reports_state_and_rung(self, clock):
         breaker = make_breaker(clock)
@@ -143,7 +157,7 @@ class TestBreaker:
         described = breaker.describe()
         assert described["state"] == "closed"
         assert described["consecutive_failures"] == 1
-        assert described["rung"] == "vectorized"
+        assert described["rung"] == "compiled"
         assert "boom" in described["last_error"]
 
     def test_state_gauge_tracks_transitions(self, clock):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import MappingError, ServiceOverloaded
 from repro.obs.metrics import get_metrics
+from repro.search.vectorized import vectorized_stats
 from repro.serve.breaker import CircuitBreaker, DegradationLadder
 from repro.serve.lifecycle import EstimationService
 from repro.serve.validation import EstimateRequest
@@ -231,7 +232,7 @@ class TestRealEvaluation:
         assert payload["n_batches"] > 0
         assert "forward_time" in payload["breakdown"] \
             or "bubble" in payload["breakdown"]
-        assert payload["evaluation_path"] in ("vectorized", "compiled")
+        assert payload["evaluation_path"] == "compiled"
 
     def test_infeasible_mapping_is_422(self):
         service = EstimationService(default_deadline_s=60.0)
@@ -265,6 +266,33 @@ class TestRealEvaluation:
             assert pending.status == solo.status == 200
             assert pending.payload["batch_time_s"] == pytest.approx(
                 solo.payload["batch_time_s"], rel=1e-12)
+
+    def test_two_spec_group_reads_the_scalar_tables(self):
+        # A group evaluates each distinct mapping on the scalar term
+        # tables, never as an array batch, and answers exactly what
+        # the same requests get one at a time.
+        mappings = [(8, 64, 2), (8, 32, 4)]
+
+        def request(tp, pp, dp):
+            return EstimateRequest(model="megatron-1t", nodes=128,
+                                   accel_per_node=8, tp=tp, pp=pp,
+                                   dp=dp, batch=2048)
+
+        service = EstimationService(default_deadline_s=60.0)
+        grouped = [service.submit(request(*mapping))
+                   for mapping in mappings]
+        for _ in grouped:
+            service._queue.get_nowait()
+        builds = vectorized_stats()["builds"]
+        service.process_batch(grouped)
+        assert vectorized_stats()["builds"] == builds
+
+        for mapping, pending in zip(mappings, grouped):
+            solo_service = EstimationService(default_deadline_s=60.0)
+            solo = solo_service.submit(request(*mapping))
+            solo_service.process_batch([solo])
+            assert pending.status == solo.status == 200
+            assert pending.payload == solo.payload
 
     def test_infeasible_mapping_does_not_fail_its_group(self):
         # pp=1024 exceeds megatron-1t's 128 layers; the other two

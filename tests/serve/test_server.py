@@ -240,7 +240,7 @@ class TestBreakerRecovery:
         assert http("POST", base, "/v1/estimate", ESTIMATE)[0] == 500
         assert http("POST", base, "/v1/estimate", ESTIMATE)[0] == 500
         assert breaker.state == "open"
-        assert ladder.current == "serial"
+        assert ladder.current == "per_layer"
 
         # While open: instant 503 with Retry-After, readyz red.
         status, body, headers = http("POST", base, "/v1/estimate",
