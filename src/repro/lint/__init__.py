@@ -29,7 +29,6 @@ AMP104  unannotated public parameter that demonstrably receives one
         agreed dimension at multiple call sites
 AMP201  module-level mutable state mutated from a thread context
         without a lock
-AMP202  lambda/nested-function/bound-method shipped to a process pool
 AMP203  fork-unsafe capture: import-time file/socket, or a module
         lock in pool workers without an ``os.register_at_fork`` reset
 AMP204  instance attribute written from a thread context without a

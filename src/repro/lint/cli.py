@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=("Dimensional-consistency and invariant static "
                      "analysis for the AMPeD codebase (per-file rules "
-                     "AMP001-AMP006; whole-program rules AMP101-AMP204 "
+                     "AMP001-AMP006; whole-program rules AMP101-AMP104, "
+                     "AMP201, AMP203 and AMP204 "
                      "via --flow; suppress with "
                      "`# amplint: disable=AMP00x`)."))
     parser.add_argument(

@@ -34,8 +34,6 @@ is checked:
 ========  ==========================================================
 AMP201    module-level mutable state mutated from a thread context
           without an enclosing lock
-AMP202    non-picklable payload shipped to a process pool (lambda,
-          nested function, bound method)
 AMP203    fork-unsafety: files/sockets opened at module import, or a
           module-level lock used by process-pool worker code without
           an ``os.register_at_fork`` reset
@@ -88,9 +86,6 @@ FLOW_RULES: Tuple[FlowRule, ...] = (
     FlowRule("AMP201", "unlocked-global-mutation",
              "module-level mutable state mutated from a thread context "
              "without a lock"),
-    FlowRule("AMP202", "unpicklable-pool-payload",
-             "lambda/nested-function/bound-method shipped to a process "
-             "pool"),
     FlowRule("AMP203", "fork-unsafe-capture",
              "file/socket opened at module import, or module-level "
              "lock used in process-pool workers without an at-fork "
@@ -782,9 +777,6 @@ class ConcurrencyAnalysis:
         if name == "ProcessPoolExecutor":
             for keyword in node.keywords:
                 if keyword.arg == "initializer":
-                    self._check_pool_payload(info, keyword.value,
-                                             local_types,
-                                             role="initializer")
                     self._add_root(info, keyword.value, local_types,
                                    thread=False)
             return
@@ -802,8 +794,6 @@ class ConcurrencyAnalysis:
                                          local_types)
         payload = node.args[0]
         if receiver == "ProcessPoolExecutor":
-            self._check_pool_payload(info, payload, local_types,
-                                     role=node.func.attr)
             for argument in node.args[1:]:
                 self._check_pool_argument(info, argument, local_types)
             for keyword in node.keywords:
@@ -825,53 +815,10 @@ class ConcurrencyAnalysis:
         else:
             self.process_roots.add(target.qualname)
 
-    # -- AMP202 -------------------------------------------------------
-
-    def _check_pool_payload(self, info: FunctionInfo, node: ast.AST,
-                            local_types: Dict[str, str],
-                            role: str) -> None:
-        if not self.reporter.wants("AMP202"):
-            return
-        context = info.module.context
-        if isinstance(node, ast.Lambda):
-            self.reporter.emit(
-                "AMP202", context, node,
-                f"lambda passed as process-pool {role}; lambdas "
-                f"cannot be pickled across the process boundary — "
-                f"use a module-level function")
-            return
-        resolved = self.index.resolve_func_expr(info, node,
-                                                local_types)
-        target = self.index.function_for(resolved)
-        if target is not None and target.is_nested:
-            self.reporter.emit(
-                "AMP202", context, node,
-                f"nested function {target.name!r} passed as "
-                f"process-pool {role}; closures cannot be pickled — "
-                f"promote it to module level")
-            return
-        if isinstance(node, ast.Attribute):
-            receiver = self.index.infer_type(node.value, info,
-                                             local_types)
-            if receiver is not None \
-                    and self.index.class_for(receiver,
-                                             info.module) is not None:
-                self.reporter.emit(
-                    "AMP202", context, node,
-                    f"bound method {receiver}.{node.attr} passed as "
-                    f"process-pool {role}; the whole instance is "
-                    f"pickled with it — ship a module-level function "
-                    f"plus plain-data arguments instead")
+    # -- AMP203 -------------------------------------------------------
 
     def _check_pool_argument(self, info: FunctionInfo, node: ast.AST,
                              local_types: Dict[str, str]) -> None:
-        if isinstance(node, ast.Lambda) \
-                and self.reporter.wants("AMP202"):
-            self.reporter.emit(
-                "AMP202", info.module.context, node,
-                "lambda argument shipped to a process-pool worker; "
-                "lambdas cannot be pickled — pass plain data or a "
-                "module-level function")
         if not self.reporter.wants("AMP203"):
             return
         if isinstance(node, ast.Name):
@@ -883,8 +830,6 @@ class ConcurrencyAnalysis:
                     f"module-level lock {node.id!r} shipped as a "
                     f"process-pool argument; locks do not pickle and "
                     f"cannot synchronize across processes")
-
-    # -- AMP203 -------------------------------------------------------
 
     def _check_import_time_captures(
             self, process_reachable: Set[str]) -> None:

@@ -22,6 +22,7 @@ is off by default).
 from __future__ import annotations
 
 import bisect
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -40,6 +41,12 @@ DEFAULT_BUCKET_BOUNDS: Tuple[float, ...] = (
 
 #: Quantiles reported in histogram snapshots.
 SNAPSHOT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
+
+#: The ``cache.vectorized.*`` gauges: the keys of
+#: :func:`repro.search.vectorized.vectorized_stats`.
+VECTORIZED_STATS: Tuple[str, ...] = (
+    "builds", "build_seconds", "array_bytes", "lanes", "batches",
+    "max_batch_size")
 
 
 class Counter:
@@ -323,18 +330,24 @@ def collect_cache_metrics(
     snapshot answers "did the fast path actually hit the cache" and
     "how hot are the compiled term tables".  Imports lazily:
     :mod:`repro.core` imports the tracer, so a module-level import here
-    would be circular.
+    would be circular.  The array backend is read only once something
+    else loaded it: it imports NumPy, and a process that never loaded
+    it (the daemon, ``amped estimate``) has bound no batch, so its
+    gauges read 0.
     """
     from repro.core.communication import comm_cache_stats
     from repro.core.operations import cache_stats
     from repro.search.compiler import compiled_cache_stats
-    from repro.search.vectorized import vectorized_stats
 
+    vectorized = sys.modules.get("repro.search.vectorized")
     target = registry if registry is not None else _METRICS
     for prefix, stats in (("cache.operations", cache_stats()),
                           ("cache.collectives", comm_cache_stats()),
                           ("cache.compiled", compiled_cache_stats()),
-                          ("cache.vectorized", vectorized_stats())):
+                          ("cache.vectorized",
+                           dict.fromkeys(VECTORIZED_STATS, 0)
+                           if vectorized is None
+                           else vectorized.vectorized_stats())):
         for key, value in stats.items():
             if value is None:
                 continue

@@ -52,6 +52,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.breakdown import TrainingTimeBreakdown
@@ -150,6 +151,15 @@ class CompiledSweep:
         self.classes: List[tuple] = [
             (cls.representative, float(cls.multiplicity), {}, {}, {})
             for cls in operations.layer_classes]
+        #: ``(multiplicity, is_transformer, is_moe)`` per layer class,
+        #: in class order: what :meth:`assemble` weighs each class by.
+        self.class_meta: List[Tuple[float, bool, bool]] = [
+            (weight, layer.index >= 0, layer.is_moe)
+            for layer, weight, *_ in self.classes]
+        self._has_moe = any(is_moe for *_, is_moe in self.class_meta)
+        #: Eq. 8's extra step divisor: the layer count under ``"eq8"``.
+        self.bubble_layers = (self.model.n_layers
+                              if self.bubble_model == "eq8" else 1)
 
         # Term tables keyed by the minimal keys of collectives/keys.py.
         self._eff: Dict[tuple, float] = {}
@@ -166,9 +176,9 @@ class CompiledSweep:
         # counted per combine in one add; misses at the fill sites.
         self._lookups = 0
         self._misses = 0
-        #: Lookups per combine: eff + bubble prefactor + per class
-        #: (compute, gradient[, zero]) + per transformer class
-        #: (tp_intra, tp_inter, pp[, moe]).
+        #: Lookups per combine, as the per-layer walk reads terms: eff +
+        #: bubble prefactor + per class (compute, gradient[, zero]) +
+        #: per transformer class (tp_intra, tp_inter, pp[, moe]).
         self._lookups_per_eval = 2 + len(self.classes) * (
             3 if self.explicit_zero else 2) + sum(
             3 + (1 if layer.is_moe else 0)
@@ -205,305 +215,36 @@ class CompiledSweep:
         env.__dict__["parallelism"] = spec
         return env
 
-    # -- the combiner ----------------------------------------------------------
+    # -- the term tables: one fill per table ----------------------------------
+    #
+    # Each accessor owns one table's key layout, reference-function call
+    # and stored value.  The scalar combiner reads every term through
+    # them, and the NumPy backend (:mod:`repro.search.vectorized`) calls
+    # them once per distinct key of a candidate batch, so both read the
+    # same dict entries.
 
-    def _combine(self, spec: ParallelismSpec, eff: float,
-                 include_bubble: bool = True) -> tuple:
-        """Eq. 1's component totals for one candidate, from the tables.
-
-        One pass over the layer classes in a fixed order, with the
-        per-term arithmetic of the per-layer reference walk scaled by
-        each class's multiplicity.  With ``include_bubble`` off the
-        bubble total stays 0.0 (the lower bound charges no idle time).
-        """
-        tp_i = spec.tp_intra
-        tp_x = spec.tp_inter
-        dp_i = spec.dp_intra
-        dp_x = spec.dp_inter
-        ep = spec.expert_parallel
-        tp = tp_i * tp_x
-        pp = spec.pp_intra * spec.pp_inter
-        dp = dp_i * dp_x
-        workers = spec.world_size
-        stage_share = pp if self.concurrent_stage_comm else 1
-        exposed = self.exposed
-        ratio = exposed / stage_share
-        bcr = self.backward_comm_ratio
-        scale = 1.0 + bcr
-        fwd_scale = self.forward_scale
-        env: Optional[CommEnvironment] = None
-        replica_batch = 0.0
-
-        if include_bubble:
-            n_ub = spec.microbatches
-            bubble_k = (pp, n_ub, spec.bubble_overlap_ratio)
-            pref = self._bubble_prefactor.get(bubble_k)
-            if pref is None:
-                self._misses += 1
-                pref = bubble_prefactor(pp, n_ub,
-                                        spec.bubble_overlap_ratio)
-                self._bubble_prefactor[bubble_k] = pref
-        else:
-            pref = 0.0
-        eq8 = self.bubble_model == "eq8"
-        n_layers = self.model.n_layers
-
-        cf = cb = cw = 0.0
-        c_tpi = c_tpx = c_pp = c_moe = 0.0
-        g_intra = g_inter = c_zero = bub = 0.0
-
-        for layer, weight, grad_table, zero_table, compute_table \
-                in self.classes:
-            triple = compute_table.get(eff)
-            if triple is None:
-                self._misses += 1
-                triple = (
-                    forward_compute_time(layer, self.accelerator,
-                                         self.precision, eff),
-                    backward_compute_time(
-                        layer, self.accelerator, self.precision, eff,
-                        self.backward_compute_multiplier),
-                    weight_update_time(
-                        layer, self.accelerator, self.precision, eff,
-                        self.optimizer_macs_per_parameter))
-                compute_table[eff] = triple
-            u_f, u_b, u_w = triple
-            cf += weight * u_f / workers
-            cb += weight * u_b / workers
-            cw += weight * u_w / workers
-
-            grad_k = (tp, dp_i, dp_x, ep)
-            grad = grad_table.get(grad_k)
-            if grad is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                components = gradient_comm_components(
-                    env, layer.gradient_parameters(ep))
-                grad = (components["intra"], components["inter"])
-                grad_table[grad_k] = grad
-            g_intra += weight * grad[0] / stage_share * exposed
-            g_inter += weight * grad[1] / stage_share * exposed
-
-            if self.explicit_zero:
-                gather = zero_table.get(grad_k)
-                if gather is None:
-                    self._misses += 1
-                    if env is None:
-                        env = self._environment(spec)
-                    gather = zero_gather_time(
-                        env, layer.gradient_parameters(ep))
-                    zero_table[grad_k] = gather
-                c_zero += weight * 2.0 * gather / stage_share * exposed
-
-            if layer.index < 0:
-                continue  # embedding pseudo-layer: no TP/PP/MoE/bubble
-
-            key = (tp_i, dp)
-            v_tpi = self._tp_intra.get(key)
-            if v_tpi is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                if not replica_batch:
-                    replica_batch = replica_batch_size(
-                        self.global_batch, spec)
-                v_tpi = fwd_scale * tp_comm_time(
-                    env, self.model, replica_batch, "intra")
-                self._tp_intra[key] = v_tpi
-
-            key = (tp_i, tp_x, dp)
-            v_tpx = self._tp_inter.get(key)
-            if v_tpx is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                if not replica_batch:
-                    replica_batch = replica_batch_size(
-                        self.global_batch, spec)
-                v_tpx = fwd_scale * tp_comm_time(
-                    env, self.model, replica_batch, "inter")
-                self._tp_inter[key] = v_tpx
-
-            key = (spec.pp_intra > 1, spec.pp_inter > 1, dp)
-            v_pp = self._pp.get(key)
-            if v_pp is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                if not replica_batch:
-                    replica_batch = replica_batch_size(
-                        self.global_batch, spec)
-                v_pp = fwd_scale * max(
-                    pp_comm_time(env, self.model, replica_batch,
-                                 "intra"),
-                    pp_comm_time(env, self.model, replica_batch,
-                                 "inter"))
-                self._pp[key] = v_pp
-
-            if layer.is_moe:
-                key = (tp, dp, ep)
-                v_moe = self._moe.get(key)
-                if v_moe is None:
-                    self._misses += 1
-                    if env is None:
-                        env = self._environment(spec)
-                    if not replica_batch:
-                        replica_batch = replica_batch_size(
-                            self.global_batch, spec)
-                    moe = (moe_comm_time(env, self.model, replica_batch)
-                           if ep else 0.0)
-                    v_moe = fwd_scale * moe
-                    self._moe[key] = v_moe
-            else:
-                v_moe = 0.0
-
-            # estimate_batch scales the component dict in place, then
-            # sums it in insertion order — replayed exactly here.
-            a = v_tpi * ratio
-            b = v_tpx * ratio
-            c = v_moe * ratio
-            d = v_pp * exposed
-            m_f = a + b + d + c
-            m_b = m_f * bcr
-            c_tpi += weight * a * scale
-            c_tpx += weight * b * scale
-            c_pp += weight * d * scale
-            c_moe += weight * c * scale
-            if pref and pp > 1:
-                divisor = tp * dp * pp
-                if eq8:
-                    divisor *= n_layers
-                step = (u_f + u_b) / divisor + m_b + m_f
-                bub += weight * (pref * step)
-
-        self._lookups += self._lookups_per_eval
-        return (cf, cb, cw, c_tpi, c_tpx, c_pp, c_moe,
-                g_intra, g_inter, c_zero, bub)
-
-    # -- public evaluation API -------------------------------------------------
-
-    def _efficiency_for(self, spec: ParallelismSpec) -> float:
-        """``eff(ub)`` for the candidate (raises the same
-        :class:`MappingError` the reference path would for ub < 1)."""
-        key = (spec.dp, spec.microbatches)
+    def _efficiency_at(self, dp: int, n_ub: int) -> Optional[float]:
+        """``eff(ub)`` for key ``(dp, N_ub)``, or ``None`` when the
+        microbatch falls below one sequence (never memoized, so a table
+        hit is always feasible)."""
+        key = (dp, n_ub)
         eff = self._eff.get(key)
         if eff is None:
-            # Infeasible keys raise here (microbatch below one sequence)
-            # and are never memoized, so a table hit is always feasible.
+            microbatch = self.global_batch / (dp * n_ub)
+            if microbatch < 1:
+                return None
             self._misses += 1
-            eff = self.efficiency(microbatch_size(self.global_batch,
-                                                  spec))
-            self._eff[key] = eff
+            eff = self._eff[key] = self.efficiency(microbatch)
         return eff
 
-    def component_totals(self, spec: ParallelismSpec) -> dict:
-        """Eq. 1's component totals, keyed like the breakdown fields."""
-        totals = self._combine(spec, self._efficiency_for(spec))
-        return dict(zip(COMPONENT_NAMES, totals))
-
-    def breakdown(self, spec: ParallelismSpec) -> TrainingTimeBreakdown:
-        """The candidate's breakdown (what ``estimate_batch`` returns
-        on the default path)."""
-        return TrainingTimeBreakdown(**self.component_totals(spec))
-
-    def batch_time(self, spec: ParallelismSpec) -> Seconds:
-        """The candidate's batch time, bit-identical to
-        ``estimate_batch(global_batch).total`` on the default path —
-        including raising the same errors for infeasible microbatches
-        and non-finite components."""
-        totals = self._combine(spec, self._efficiency_for(spec))
-        total = _total_of(totals)
-        if not math.isfinite(total):
-            # The reference path surfaces non-finite components as the
-            # breakdown's ConfigurationError; replay it exactly (and
-            # fall through when only the *sum* overflowed, which the
-            # reference path returns as an inf total).
-            TrainingTimeBreakdown(**dict(zip(COMPONENT_NAMES, totals)))
-        return total
-
-    def best_microbatch(self, spec: ParallelismSpec,
-                        candidates: Optional[Iterable[int]] = None
-                        ) -> Tuple[ParallelismSpec, float]:
-        """Pick the ``N_ub`` minimizing batch time — selection,
-        tie-breaking and failure semantics identical to
-        :func:`repro.search.tuning.optimize_microbatches`."""
-        if candidates is None:
-            candidates = candidate_microbatch_counts(spec,
-                                                     self.global_batch)
-        best: Optional[Tuple[ParallelismSpec, float]] = None
-        last_error = None
-        last_n_ub: Optional[int] = None
-        for n_ub in candidates:
-            tuned = spec.with_microbatches(n_ub)
-            try:
-                batch_time = self.batch_time(tuned)
-            except MappingError as error:
-                last_error, last_n_ub = error, n_ub
-                continue
-            if not math.isfinite(batch_time):
-                last_error = MappingError(
-                    f"batch time is non-finite ({batch_time!r})")
-                last_n_ub = n_ub
-                continue
-            if best is None or batch_time < best[1]:
-                best = (tuned, batch_time)
-        if best is None:
-            if last_error is None:
-                raise MappingError(
-                    f"no feasible microbatch count for batch "
-                    f"{self.global_batch} under {spec.describe()}")
-            raise _with_failing_n_ub(last_error, last_n_ub) \
-                from last_error
-        return best
-
-    def lower_bound(self, spec: ParallelismSpec,
-                    tune_microbatches: bool = True) -> float:
-        """Admissible compute + communication lower bound on the
-        candidate's achievable batch time (no bubble charged).
-
-        Raises :class:`MappingError` when no candidate microbatch
-        count is feasible, exactly like
-        :func:`repro.search.dse.compute_lower_bound`.
-        """
-        if tune_microbatches:
-            n_ubs: Iterable[int] = candidate_microbatch_counts(
-                spec, self.global_batch)
-        else:
-            n_ubs = (spec.microbatches,)
-        best_eff = 0.0
-        dp = spec.dp
-        for n_ub in n_ubs:
-            microbatch = self.global_batch / (dp * n_ub)
-            if microbatch >= 1:
-                key = (dp, n_ub)
-                eff = self._eff.get(key)
-                if eff is None:
-                    self._misses += 1
-                    eff = self.efficiency(microbatch)
-                    self._eff[key] = eff
-                best_eff = max(best_eff, eff)
-        if best_eff <= 0.0:
-            raise MappingError(
-                f"no feasible microbatch count for batch "
-                f"{self.global_batch} under {spec.describe()}: every "
-                f"candidate N_ub dices the batch below one sequence")
-        totals = self._combine(spec, best_eff, include_bubble=False)
-        return _total_of(totals)
-
-    # -- batch-fill accessors (vectorized backend) -----------------------------
-    #
-    # The NumPy backend (:mod:`repro.search.vectorized`) projects a whole
-    # candidate chunk to key indices and needs one value per *distinct*
-    # key.  These accessors fill exactly the entry `_combine` would fill
-    # — same key layout, same reference-function call, same stored value
-    # — into the *same* dict tables, so the scalar and the vectorized
-    # paths always read identical numbers.
-
     def efficiency_for(self, spec: ParallelismSpec) -> float:
-        """Public face of the efficiency table: ``eff(ub)`` for the
-        candidate, raising :class:`MappingError` for ub < 1."""
-        return self._efficiency_for(spec)
+        """``eff(ub)`` for the candidate, raising the same
+        :class:`MappingError` the reference path would for ub < 1."""
+        eff = self._efficiency_at(spec.dp, spec.microbatches)
+        if eff is None:
+            # ub < 1: raise the reference path's MappingError verbatim.
+            microbatch_size(self.global_batch, spec)
+        return eff
 
     def fits_for(self, spec: ParallelismSpec, n_ub: int) -> bool:
         """Whether ``spec`` at ``n_ub`` microbatches passes the memory
@@ -644,6 +385,209 @@ class CompiledSweep:
             self._moe[key] = value
         return value
 
+    # -- Eq. 1 -------------------------------------------------------------------
+
+    def assemble(self, computes: Iterable, grads: Iterable,
+                 gathers: Optional[Iterable], tp_intra, tp_inter, pp,
+                 moe, workers, stage_share, pref=None, divisor=None,
+                 zero=0.0) -> tuple:
+        """Eq. 1's component totals, in :data:`COMPONENT_NAMES` order.
+
+        Each term is a Python float (one candidate, from
+        :meth:`_combine`) or a float64 column with one value per lane
+        (:class:`repro.search.vectorized.BoundBatch`).  ``computes``,
+        ``grads`` and ``gathers`` hold each layer class's ``(U_f, U_b,
+        U_w)``, ``(intra, inter)`` gradient and ZeRO-3 gather terms
+        (``gathers`` is ``None`` without explicit ZeRO); the rest are
+        per candidate, and the accumulators start at ``zero``.  Only
+        ``+ - * /`` touch the terms, and NumPy's elementwise float64
+        ops round like Python's, so both callers get bit-identical
+        sums.  The associations are those of the per-layer walk in
+        ``estimate_batch``, class by class, scaled by each class's
+        multiplicity.  The bubble is summed only when ``pref`` is
+        given, and ungated: whether Eq. 8 charges it (``pref`` non-zero
+        and more than one stage) depends on the candidate alone, so
+        the caller applies that gate to the sum.
+        """
+        exposed = self.exposed
+        bcr = self.backward_comm_ratio
+        scale = 1.0 + bcr
+        ratio = exposed / stage_share
+        a = tp_intra * ratio
+        b = tp_inter * ratio
+        d = pp * exposed
+        ab_d = (a + b) + d
+        moe_term = moe * ratio
+
+        cf = cb = cw = c_tpi = c_tpx = c_pp = c_moe = zero
+        g_intra = g_inter = c_zero = bub = zero
+        for (weight, is_transformer, is_moe), (u_f, u_b, u_w), \
+                (grad_intra, grad_inter), gather in zip(
+                    self.class_meta, computes, grads,
+                    repeat(None) if gathers is None else gathers):
+            cf = cf + weight * u_f / workers
+            cb = cb + weight * u_b / workers
+            cw = cw + weight * u_w / workers
+            g_intra = g_intra + weight * grad_intra / stage_share * exposed
+            g_inter = g_inter + weight * grad_inter / stage_share * exposed
+            if gather is not None:
+                c_zero = c_zero + weight * 2.0 * gather / stage_share \
+                    * exposed
+
+            if not is_transformer:
+                continue  # embedding pseudo-layer: no TP/PP/MoE/bubble
+            c = moe_term if is_moe else 0.0
+            m_f = ab_d + c
+            m_b = m_f * bcr
+            c_tpi = c_tpi + weight * a * scale
+            c_tpx = c_tpx + weight * b * scale
+            c_pp = c_pp + weight * d * scale
+            c_moe = c_moe + weight * c * scale
+            if pref is not None:
+                step = (u_f + u_b) / divisor + m_b + m_f
+                bub = bub + weight * (pref * step)
+
+        return (cf, cb, cw, c_tpi, c_tpx, c_pp, c_moe,
+                g_intra, g_inter, c_zero, bub)
+
+    def mapping_terms(self, spec: ParallelismSpec) -> tuple:
+        """The terms keyed on the mapping alone, which no ``N_ub``
+        changes, in :meth:`assemble`'s order: per-class gradient pairs
+        and ZeRO-3 gathers (``None`` without explicit ZeRO), then the TP
+        intra, TP inter, PP and MoE terms."""
+        return (self.gradient_pairs_for(spec),
+                self.zero_gathers_for(spec) if self.explicit_zero
+                else None,
+                self.tp_intra_for(spec), self.tp_inter_for(spec),
+                self.pp_for(spec),
+                self.moe_for(spec) if self._has_moe else 0.0)
+
+    def _combine(self, spec: ParallelismSpec, eff: float,
+                 include_bubble: bool = True,
+                 terms: Optional[tuple] = None) -> tuple:
+        """Eq. 1's component totals for one candidate, from the tables.
+
+        Reads the bubble prefactor, each class's compute terms and then
+        the :meth:`mapping_terms` (unless the caller holds them), and
+        sums them with :meth:`assemble`.  With ``include_bubble`` off
+        the bubble total stays 0.0 (the lower bound charges no idle
+        time).
+        """
+        pp = spec.pp_intra * spec.pp_inter
+        pref = (self.bubble_prefactor_for(pp, spec.microbatches,
+                                          spec.bubble_overlap_ratio)
+                if include_bubble else 0.0)
+        triples = self.compute_triples_for(eff)
+        if terms is None:
+            terms = self.mapping_terms(spec)
+        self._lookups += self._lookups_per_eval
+        # spec.world_size without its three nested property calls
+        # (integer products are exact in any order).
+        workers = (spec.tp_intra * spec.tp_inter * pp * spec.dp_intra
+                   * spec.dp_inter)
+        gated = bool(pref) and pp > 1
+        return self.assemble(
+            triples, *terms, workers,
+            pp if self.concurrent_stage_comm else 1,
+            pref if gated else None,
+            workers * self.bubble_layers if gated else None)
+
+    # -- public evaluation API -------------------------------------------------
+
+    def component_totals(self, spec: ParallelismSpec) -> dict:
+        """Eq. 1's component totals, keyed like the breakdown fields."""
+        totals = self._combine(spec, self.efficiency_for(spec))
+        return dict(zip(COMPONENT_NAMES, totals))
+
+    def breakdown(self, spec: ParallelismSpec) -> TrainingTimeBreakdown:
+        """The candidate's breakdown (what ``estimate_batch`` returns
+        on the default path)."""
+        return TrainingTimeBreakdown(**self.component_totals(spec))
+
+    def batch_time(self, spec: ParallelismSpec,
+                   terms: Optional[tuple] = None) -> Seconds:
+        """The candidate's batch time, bit-identical to
+        ``estimate_batch(global_batch).total`` on the default path —
+        including raising the same errors for infeasible microbatches
+        and non-finite components.  ``terms`` are the mapping's
+        :meth:`mapping_terms`, when the caller already holds them."""
+        totals = self._combine(spec, self.efficiency_for(spec),
+                               terms=terms)
+        total = total_of(totals)
+        if not math.isfinite(total):
+            # The reference path surfaces non-finite components as the
+            # breakdown's ConfigurationError; replay it exactly (and
+            # fall through when only the *sum* overflowed, which the
+            # reference path returns as an inf total).
+            TrainingTimeBreakdown(**dict(zip(COMPONENT_NAMES, totals)))
+        return total
+
+    def best_microbatch(self, spec: ParallelismSpec,
+                        candidates: Optional[Iterable[int]] = None
+                        ) -> Tuple[ParallelismSpec, float]:
+        """Pick the ``N_ub`` minimizing batch time — selection,
+        tie-breaking and failure semantics identical to
+        :func:`repro.search.tuning.optimize_microbatches`."""
+        if candidates is None:
+            candidates = candidate_microbatch_counts(spec,
+                                                     self.global_batch)
+        best: Optional[Tuple[ParallelismSpec, float]] = None
+        last_error = None
+        last_n_ub: Optional[int] = None
+        terms = None
+        for n_ub in candidates:
+            tuned = spec.with_microbatches(n_ub)
+            try:
+                batch_time = self.batch_time(tuned, terms)
+            except MappingError as error:
+                last_error, last_n_ub = error, n_ub
+                continue
+            if terms is None:  # filled now, and no N_ub changes them
+                terms = self.mapping_terms(spec)
+            if not math.isfinite(batch_time):
+                last_error = MappingError(
+                    f"batch time is non-finite ({batch_time!r})")
+                last_n_ub = n_ub
+                continue
+            if best is None or batch_time < best[1]:
+                best = (tuned, batch_time)
+        if best is None:
+            if last_error is None:
+                raise MappingError(
+                    f"no feasible microbatch count for batch "
+                    f"{self.global_batch} under {spec.describe()}")
+            raise _with_failing_n_ub(last_error, last_n_ub) \
+                from last_error
+        return best
+
+    def lower_bound(self, spec: ParallelismSpec,
+                    tune_microbatches: bool = True) -> float:
+        """Admissible compute + communication lower bound on the
+        candidate's achievable batch time (no bubble charged).
+
+        Raises :class:`MappingError` when no candidate microbatch
+        count is feasible, exactly like
+        :func:`repro.search.dse.compute_lower_bound`.
+        """
+        if tune_microbatches:
+            n_ubs: Iterable[int] = candidate_microbatch_counts(
+                spec, self.global_batch)
+        else:
+            n_ubs = (spec.microbatches,)
+        best_eff = 0.0
+        dp = spec.dp
+        for n_ub in n_ubs:
+            eff = self._efficiency_at(dp, n_ub)
+            if eff is not None:
+                best_eff = max(best_eff, eff)
+        if best_eff <= 0.0:
+            raise MappingError(
+                f"no feasible microbatch count for batch "
+                f"{self.global_batch} under {spec.describe()}: every "
+                f"candidate N_ub dices the batch below one sequence")
+        totals = self._combine(spec, best_eff, include_bubble=False)
+        return total_of(totals)
+
     def stats(self) -> Dict[str, int]:
         """Table sizes and hit-rate counters for ``cache.compiled.*``."""
         entries = (len(self._eff) + len(self._tp_intra)
@@ -660,11 +604,12 @@ class CompiledSweep:
         }
 
 
-def _total_of(totals: tuple) -> float:
-    """``TrainingTimeBreakdown.total`` replayed on a component tuple,
-    association for association."""
+def total_of(components: tuple):
+    """``TrainingTimeBreakdown.total`` replayed, association for
+    association, on :meth:`CompiledSweep.assemble`'s components (floats
+    or float64 columns)."""
     (cf, cb, cw, c_tpi, c_tpx, c_pp, c_moe,
-     g_intra, g_inter, c_zero, bub) = totals
+     g_intra, g_inter, c_zero, bub) = components
     compute_time = cf + cb + cw
     comm_time = ((c_tpi + c_tpx) + c_pp + c_moe
                  + (g_intra + g_inter) + c_zero)

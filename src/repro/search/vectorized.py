@@ -17,8 +17,9 @@ that inner loop into NumPy array operations:
    accessors — into the compiled sweep's own dict tables, so both
    backends read identical values — and packed into ``float64`` arrays.
 3. **Gather + sum**: all candidates evaluate as column-wise gathers
-   into those arrays plus elementwise arithmetic that replays
-   ``_combine``'s association order operation for operation.  IEEE-754
+   into those arrays, summed by
+   :meth:`~repro.search.compiler.CompiledSweep.assemble` — the one
+   Eq. 1 assembly, which the scalar combiner calls on floats.  IEEE-754
    elementwise array ops round identically to the scalar ops (NumPy
    performs no re-association and no FMA contraction for these
    expressions), so array batch times are **bit-exact** against the
@@ -59,9 +60,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MappingError
+from repro.obs.metrics import VECTORIZED_STATS
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search.compiler import COMPONENT_NAMES, CompiledSweep
+from repro.search.compiler import COMPONENT_NAMES, CompiledSweep, total_of
 from repro.search.tuning import candidate_microbatch_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
@@ -132,10 +134,7 @@ def threshold_info() -> Dict[str, object]:
 # Backend statistics (folded into cache.vectorized.* gauges)
 # ---------------------------------------------------------------------------
 
-_STATS: Dict[str, float] = {
-    "builds": 0, "build_seconds": 0.0, "array_bytes": 0,
-    "lanes": 0, "batches": 0, "max_batch_size": 0,
-}
+_STATS: Dict[str, float] = dict.fromkeys(VECTORIZED_STATS, 0)
 
 #: Serve handler threads build batches concurrently with the metrics
 #: endpoint reading the totals; every _STATS access goes through this.
@@ -195,16 +194,6 @@ class BoundBatch:
         specs = self.specs
         n = len(specs)
 
-        # Sweep constants snapshot (scalar replay parameters).
-        self._exposed = compiled.exposed
-        self._bcr = compiled.backward_comm_ratio
-        self._explicit_zero = compiled.explicit_zero
-        #: ``(weight, is_transformer, is_moe)`` per layer class, in the
-        #: combiner's class order.
-        self._class_meta: List[Tuple[float, bool, bool]] = [
-            (weight, layer.index >= 0, layer.is_moe)
-            for layer, weight, *_ in compiled.classes]
-
         # -- columns: one attribute pass over the specs --------------------
         fields = 7 if tune_microbatches else 8
         degrees = np.fromiter(
@@ -221,9 +210,8 @@ class BoundBatch:
         self._stage_share = (pp.astype(np.float64)
                              if compiled.concurrent_stage_comm
                              else np.ones(n))
-        self._bub_divisor = (world * compiled.model.n_layers
-                             if compiled.bubble_model == "eq8"
-                             else world).astype(np.float64)
+        self._bub_divisor = (world * compiled.bubble_layers).astype(
+            np.float64)
         self._pp_gt1 = pp > 1
 
         # -- keys: one int64 code per key, from dense column ranks ---------
@@ -331,7 +319,7 @@ class BoundBatch:
         self._zero = (list(_fill(
             specs, grad_first, compiled.zero_gathers_for,
             [math.nan] * n_classes).reshape(-1, n_classes).T)
-            if self._explicit_zero else None)
+            if compiled.explicit_zero else None)
 
         self._lane_ok = self._eff_ok[self._lane_eff_idx]
         self._lane_components_cache: Optional[tuple] = None
@@ -364,85 +352,36 @@ class BoundBatch:
     # -- the column-wise combiner ---------------------------------------------
 
     def _components(self, rows, eff_idx, bub_idx) -> tuple:
-        """``_combine`` replayed column-wise: same class order, same
-        per-term arithmetic, same accumulation association — NumPy
-        elementwise float64 ops round exactly like the scalar ops, so
+        """Eq. 1 per lane: :meth:`CompiledSweep.assemble`, the code that
+        sums one candidate's floats, run on gathered float64 columns, so
         each lane's components are bit-identical to the scalar
         combiner's.  ``bub_idx`` is ``None`` for the no-bubble (lower
         bound) evaluation, where the scalar path pins ``pref = 0.0``.
         """
-        exposed = self._exposed
-        bcr = self._bcr
-        scale = 1.0 + bcr
-        workers = self._workers[rows]
-        stage_share = self._stage_share[rows]
-        ratio = exposed / stage_share
         grad_rows = self._grad_idx[rows]
-        n = rows.shape[0]
-
-        v_tpi = self._tpi_vals[self._tpi_idx[rows]]
-        v_tpx = self._tpx_vals[self._tpx_idx[rows]]
-        v_pp = self._pp_vals[self._pp_idx[rows]]
-        v_moe = self._moe_vals[self._moe_idx[rows]]
-        a = v_tpi * ratio
-        b = v_tpx * ratio
-        d = v_pp * exposed
-        ab_d = (a + b) + d  # m_f = ((a + b) + d) + c, scalar association
-        c_moe_term = v_moe * ratio
-
+        pref = divisor = None
         if bub_idx is not None:
             pref = self._bub_vals[bub_idx]
             divisor = self._bub_divisor[rows]
-            # Scalar gate: ``if pref and pp > 1`` (NaN prefactors are
-            # truthy there and non-equal to 0.0 here).
-            gate = (pref != 0.0) & self._pp_gt1[rows]
-
-        cf = np.zeros(n)
-        cb = np.zeros(n)
-        cw = np.zeros(n)
-        c_tpi = np.zeros(n)
-        c_tpx = np.zeros(n)
-        c_pp = np.zeros(n)
-        c_moe = np.zeros(n)
-        g_intra = np.zeros(n)
-        g_inter = np.zeros(n)
-        c_zero = np.zeros(n)
-        bub = np.zeros(n)
-
-        for cls, (weight, is_transformer, is_moe) in \
-                enumerate(self._class_meta):
-            comp = self._comp[cls]
-            u_f = comp[eff_idx, 0]
-            u_b = comp[eff_idx, 1]
-            u_w = comp[eff_idx, 2]
-            cf = cf + weight * u_f / workers
-            cb = cb + weight * u_b / workers
-            cw = cw + weight * u_w / workers
-
-            grad = self._grad[cls]
-            g_intra = g_intra + weight * grad[grad_rows, 0] \
-                / stage_share * exposed
-            g_inter = g_inter + weight * grad[grad_rows, 1] \
-                / stage_share * exposed
-            if self._zero is not None:
-                c_zero = c_zero + weight * 2.0 * self._zero[cls][grad_rows] \
-                    / stage_share * exposed
-
-            if not is_transformer:
-                continue  # embedding pseudo-layer: no TP/PP/MoE/bubble
-            c = c_moe_term if is_moe else 0.0
-            m_f = ab_d + c
-            m_b = m_f * bcr
-            c_tpi = c_tpi + weight * a * scale
-            c_tpx = c_tpx + weight * b * scale
-            c_pp = c_pp + weight * d * scale
-            c_moe = c_moe + weight * c * scale
-            if bub_idx is not None:
-                step = (u_f + u_b) / divisor + m_b + m_f
-                bub = bub + np.where(gate, weight * (pref * step), 0.0)
-
-        return (cf, cb, cw, c_tpi, c_tpx, c_pp, c_moe,
-                g_intra, g_inter, c_zero, bub)
+        components = self.compiled.assemble(
+            ((comp[eff_idx, 0], comp[eff_idx, 1], comp[eff_idx, 2])
+             for comp in self._comp),
+            ((grad[grad_rows, 0], grad[grad_rows, 1])
+             for grad in self._grad),
+            None if self._zero is None
+            else (zero[grad_rows] for zero in self._zero),
+            self._tpi_vals[self._tpi_idx[rows]],
+            self._tpx_vals[self._tpx_idx[rows]],
+            self._pp_vals[self._pp_idx[rows]],
+            self._moe_vals[self._moe_idx[rows]],
+            self._workers[rows], self._stage_share[rows], pref, divisor,
+            np.zeros(rows.shape[0]))
+        if pref is None:
+            return components
+        # The scalar gate ``pref and pp > 1``, per lane (NaN prefactors
+        # are truthy there and unequal to 0.0 here).
+        gate = (pref != 0.0) & self._pp_gt1[rows]
+        return components[:-1] + (np.where(gate, components[-1], 0.0),)
 
     def _components_chunked(self, rows, eff_idx, bub_idx) -> tuple:
         """:meth:`_components` over :data:`_EVAL_CHUNK_LANES`-sized
@@ -460,16 +399,6 @@ class BoundBatch:
                 out[piece] = column
         return outs
 
-    @staticmethod
-    def _totals_of(components: tuple):
-        """``TrainingTimeBreakdown.total`` replayed column-wise."""
-        (cf, cb, cw, c_tpi, c_tpx, c_pp, c_moe,
-         g_intra, g_inter, c_zero, bub) = components
-        compute_time = cf + cb + cw
-        comm_time = ((c_tpi + c_tpx) + c_pp + c_moe
-                     + (g_intra + g_inter) + c_zero)
-        return compute_time + comm_time + bub
-
     # -- lane-level evaluation --------------------------------------------------
 
     def lane_components(self) -> tuple:
@@ -483,7 +412,7 @@ class BoundBatch:
     def lane_times(self):
         """Batch time per lane; NaN marks an infeasible microbatch."""
         if self._lane_times_cache is None:
-            totals = self._totals_of(self.lane_components())
+            totals = total_of(self.lane_components())
             self._lane_times_cache = np.where(
                 self._lane_ok, totals, np.nan)
         return self._lane_times_cache
@@ -545,7 +474,7 @@ class BoundBatch:
         rows = np.arange(len(self.specs), dtype=np.intp)
         components = self._components_chunked(
             rows, self._lane_eff_idx[picks], None)
-        bounds = self._totals_of(components)
+        bounds = total_of(components)
         return np.where(feasible, bounds, np.nan)
 
 

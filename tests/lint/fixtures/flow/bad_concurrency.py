@@ -27,8 +27,6 @@ def fan_out(values):
     pool = ProcessPoolExecutor(max_workers=2)
     try:
         futures = [pool.submit(record, value) for value in values]
-        # AMP202: a lambda cannot cross the process boundary.
-        futures.append(pool.submit(lambda: record(0)))
         return [future.result() for future in futures]
     finally:
         pool.shutdown()

@@ -1,6 +1,11 @@
 """Unit tests for the metrics registry and the cache-stats fold."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +203,35 @@ class TestCacheMetricsRoundTrip:
         assert collect_cache_metrics() is get_metrics()
         gauges = get_metrics().snapshot()["gauges"]
         assert any(name.startswith("cache.") for name in gauges)
+
+
+def test_cache_fold_loads_no_numpy_in_the_daemon():
+    """The daemon never binds arrays, so a ``/metrics`` scrape folds
+    zero ``cache.vectorized.*`` gauges without importing the array
+    backend (and NumPy); once loaded, the backend reports the same
+    gauges."""
+    code = (
+        "import json, sys\n"
+        "import repro.serve.server\n"
+        "from repro.obs.metrics import MetricsRegistry, "
+        "collect_cache_metrics\n"
+        "def vectorized_gauges():\n"
+        "    gauges = collect_cache_metrics(MetricsRegistry())"
+        ".snapshot()['gauges']\n"
+        "    return {name: value for name, value in gauges.items()\n"
+        "            if name.startswith('cache.vectorized.')}\n"
+        "before = vectorized_gauges()\n"
+        "loaded = [name for name in ('numpy', 'repro.search.vectorized')\n"
+        "          if name in sys.modules]\n"
+        "import repro.search.vectorized\n"
+        "print(json.dumps([before, loaded, vectorized_gauges()]))\n")
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    completed = subprocess.run([sys.executable, "-c", code], cwd=root,
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    before, loaded, after = json.loads(completed.stdout.splitlines()[-1])
+    assert loaded == []
+    assert before == after
+    assert before and set(before.values()) == {0.0}
