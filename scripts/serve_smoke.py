@@ -3,8 +3,10 @@
 
 Launches the daemon as a real subprocess and exercises liveness, one
 genuine estimate round-trip and the metrics endpoint, then SIGTERMs it
-and asserts a clean graceful shutdown: exit code 0, "shutdown
-complete" printed, and no process left in the daemon's process group.
+while a client holds an idle keep-alive connection open, and asserts a
+clean graceful shutdown: exit code 0 within the drain timeout,
+"shutdown complete" printed, and no process left in the daemon's
+process group.
 The cycle runs three times — the single-process daemon through both
 entry points (``python -m repro.serve`` and ``python -m repro serve``, the
 ``amped serve`` subcommand), then a ``--workers 2`` pre-fork fleet
@@ -25,6 +27,8 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -33,6 +37,9 @@ from repro.search.shm import leaked_segment_names  # noqa: E402
 
 ESTIMATE = {"model": "mingpt-85m", "nodes": 2, "dp": 16,
             "batch": 256, "tokens": 1.0e9}
+
+#: ``--drain-timeout`` every daemon runs with; SIGTERM to exit must fit.
+DRAIN_TIMEOUT_S = 10.0
 
 
 def fail(message):
@@ -87,9 +94,11 @@ def run_cycle(label, extra_args, expect_workers=None,
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     process = subprocess.Popen(
         [sys.executable, "-m", *module, "--port", "0",
-         "--deadline", "60"] + extra_args,
+         "--deadline", "60",
+         "--drain-timeout", str(DRAIN_TIMEOUT_S)] + extra_args,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, start_new_session=True)
+    idle = None
     try:
         base = None
         deadline = time.monotonic() + 90.0
@@ -165,11 +174,23 @@ def run_cycle(label, extra_args, expect_workers=None,
                  f"{snapshot.get('workers_expected')}")
         print(f"[{label}] metrics ok")
 
+        # An idle keep-alive connection must not hold up the drain.
+        address = urlsplit(base)
+        idle = HTTPConnection(address.hostname, address.port,
+                              timeout=15)
+        idle.request("GET", "/healthz")
+        reply = idle.getresponse()
+        reply.read()
+        if reply.status != 200:
+            fail(f"[{label}] keep-alive healthz: {reply.status}")
+
         process.send_signal(signal.SIGTERM)
         try:
-            code = process.wait(timeout=60.0)
+            code = process.wait(timeout=DRAIN_TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            fail(f"[{label}] daemon did not exit within 60s of SIGTERM")
+            fail(f"[{label}] daemon did not exit within the "
+                 f"{DRAIN_TIMEOUT_S:g}s drain timeout of SIGTERM "
+                 f"with an idle keep-alive connection open")
         if code != 0:
             fail(f"[{label}] daemon exited {code} after SIGTERM; "
                  f"stderr:\n{process.stderr.read()}")
@@ -177,13 +198,16 @@ def run_cycle(label, extra_args, expect_workers=None,
         if "shutdown complete" not in tail:
             fail(f"[{label}] missing 'shutdown complete' after drain: "
                  f"{tail!r}")
-        print(f"[{label}] SIGTERM drain ok (exit 0)")
+        print(f"[{label}] SIGTERM drain ok (exit 0, keep-alive "
+              f"connection held open)")
 
         orphans = orphaned_group_pids(process.pid)
         if orphans:
             fail(f"[{label}] orphaned daemon processes: {orphans}")
         print(f"[{label}] no orphaned workers")
     finally:
+        if idle is not None:
+            idle.close()
         try:
             os.killpg(process.pid, signal.SIGKILL)
         except ProcessLookupError:

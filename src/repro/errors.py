@@ -147,8 +147,8 @@ class DeadlineExceeded(ReproError):
     """A request's deadline elapsed before its evaluation finished.
 
     The serve daemon answers the client with a structured HTTP 504 and
-    counts the hit against the circuit breaker, so a hung evaluation
-    can degrade the evaluation path but never stall the daemon.
+    counts the hit against the circuit breaker, so repeated overruns
+    degrade the evaluation path.
     """
 
     def __init__(self, message: str, deadline_s: float = 0.0) -> None:

@@ -10,11 +10,13 @@ request arrived" and "a status + JSON payload is ready":
   consulted.
 - **deadlines** — every request carries an absolute deadline (client
   ``deadline_s`` capped by the server default).  Requests that expire
-  while queued are answered 504 without evaluating; evaluations that
-  overrun are abandoned cooperatively (the worker thread is left to
-  finish as a daemon — the estimator has no kill switch, but the
-  *request* never waits past its deadline and the breaker records the
-  overrun so repeats trip it).
+  while queued are answered 504 without evaluating.  A group evaluates
+  on the dispatcher thread and checks its deadline between specs, so
+  an overrun stops before the next spec, answers 504 and counts as one
+  breaker failure.  The handler's wait is deadline-bounded on its own,
+  so the *request* never waits past its deadline; a hung injected
+  evaluator, though, blocks the dispatcher until it returns, and the
+  full queue then sheds 429.
 - **coalescing** — each dispatch drains up to :data:`MAX_BATCH` queued
   requests and groups them by :meth:`EstimateRequest.group_key`; a
   group shares one template + compiled-sweep build, and each distinct
@@ -125,39 +127,6 @@ class PendingRequest:
         self.status = status    # amplint: disable=AMP204 — published by done.set()
         self.payload = payload  # amplint: disable=AMP204 — published by done.set()
         self.done.set()
-
-
-def _call_with_deadline(func: Callable[[], Any],
-                        timeout: float) -> Any:
-    """Run ``func`` on a worker thread, waiting at most ``timeout``.
-
-    Raises :class:`~repro.errors.DeadlineExceeded` on overrun.  The
-    worker thread is a daemon: a genuinely hung evaluation cannot be
-    killed from Python, but it also cannot stall the dispatcher or
-    block process exit — it is simply disowned, and the breaker trips
-    if overruns repeat.
-    """
-    box: Dict[str, Any] = {}
-    finished = threading.Event()
-
-    def runner() -> None:
-        try:
-            box["value"] = func()
-        except BaseException as error:  # noqa: BLE001 — supervised boundary: re-raised on the caller's thread
-            box["error"] = error
-        finally:
-            finished.set()
-
-    worker = threading.Thread(target=runner, name="serve-eval",
-                              daemon=True)
-    worker.start()
-    if not finished.wait(max(0.0, timeout)):
-        raise DeadlineExceeded(
-            f"evaluation exceeded its {timeout:.3f}s deadline",
-            deadline_s=timeout)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 def system_for(request: EstimateRequest) -> SystemSpec:
@@ -319,15 +288,14 @@ class EstimationService:
 
     def _evaluate_group(self, group: List[PendingRequest]) -> None:
         metrics = get_metrics()
-        timeout = min(p.deadline for p in group) - self._clock()
+        deadline = min(p.deadline for p in group)
         rung = self.ladder.current
         try:
             with span("serve.evaluate", category="serve",
                       attrs={"group": len(group), "rung": rung,
                              "trace_ids": ",".join(
                                  p.trace_id for p in group)}):
-                results = _call_with_deadline(
-                    lambda: self._group_results(group), timeout)
+                results = self._group_results(group, deadline)
         except DeadlineExceeded as error:
             metrics.counter("serve.deadline_hits").inc()
             self.breaker.record_failure(error)
@@ -367,12 +335,30 @@ class EstimationService:
 
     # -- evaluation ---------------------------------------------------
 
-    def _group_results(self, group: List[PendingRequest]
-                       ) -> List[Response]:
+    def _check_deadline(self, deadline: float) -> None:
+        now = self._clock()
+        if now >= deadline:
+            raise DeadlineExceeded(
+                f"evaluation overran its deadline by "
+                f"{now - deadline:.3f}s")
+
+    def _group_results(self, group: List[PendingRequest],
+                       deadline: float) -> List[Response]:
         """One response per request; requests in a group share the
-        model, system and global batch by construction."""
+        model, system and global batch by construction.
+
+        The clock is read before each distinct spec (each request, for
+        an injected evaluator) and once after the last; past
+        ``deadline`` the group stops with
+        :class:`~repro.errors.DeadlineExceeded`.
+        """
         if self._evaluate is not None:
-            return [self._evaluate(p.request) for p in group]
+            results = []
+            for pending in group:
+                self._check_deadline(deadline)
+                results.append(self._evaluate(pending.request))
+            self._check_deadline(deadline)
+            return results
 
         first = group[0].request
         path = self.ladder.current
@@ -407,9 +393,12 @@ class EstimationService:
                 unique_specs.append(spec)
             lanes.append((index, lane))
 
-        outcomes = [evaluate_candidate(template, spec, global_batch,
-                                       tune_microbatches=False)
-                    for spec in unique_specs]
+        outcomes = []
+        for spec in unique_specs:
+            self._check_deadline(deadline)
+            outcomes.append(evaluate_candidate(
+                template, spec, global_batch, tune_microbatches=False))
+        self._check_deadline(deadline)
         for index, lane in lanes:
             responses[index] = self._response_for(
                 group[index].request, template, system,
@@ -510,7 +499,7 @@ class EstimationService:
         now = self._clock()
         pending = PendingRequest(request, deadline=now + 300.0,
                                  enqueued_at=now)
-        status, __ = self._group_results([pending])[0]
+        status, __ = self._group_results([pending], pending.deadline)[0]
         if status == 200:
             with self._state_lock:
                 self._warmed = True

@@ -18,8 +18,8 @@ refused 413 before being read; validation failures are structured 400s
 (never a traceback); shed load maps to 429/503 with ``Retry-After``;
 a handler abandoned by its deadline answers 504 and flags the pending
 request so the dispatcher skips it.  SIGTERM/SIGINT trigger a graceful
-drain: stop accepting, finish in-flight handlers
-(``block_on_close``), drain the dispatcher, exit 0.
+drain: stop accepting, end idle keep-alive reads, finish in-flight
+handlers (``block_on_close``), drain the dispatcher, exit 0.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ import argparse
 import json
 import logging
 import signal
+import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import ceil
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import (
     ReproError,
@@ -56,8 +57,10 @@ _LOG = logging.getLogger("repro.serve")
 
 class _Server(ThreadingHTTPServer):
     # In-flight handler threads are joined by server_close(): the
-    # natural drain point.  Handler waits are deadline-bounded, so the
-    # join cannot hang past the longest remaining request deadline.
+    # natural drain point.  Handler waits are deadline-bounded, and
+    # close_idle_connections() ends the reads of idle keep-alive
+    # connections, so the join cannot hang past the longest remaining
+    # request deadline.
     daemon_threads = False
     block_on_close = True
     service: EstimationService
@@ -66,6 +69,39 @@ class _Server(ThreadingHTTPServer):
     #: on, making /readyz a fleet quorum and /metrics an aggregate.
     board: Optional[object] = None
     worker_index: Optional[int] = None
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # Live connection sockets: added on the serving thread, removed
+        # on each connection's handler thread.
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_idle_connections(self) -> None:
+        """Shut the read side of every live connection.
+
+        Call after :meth:`shutdown`.  A handler blocked reading the next
+        keep-alive request sees end-of-file and exits; a handler with a
+        request in flight still writes its response, then sees
+        end-of-file on its next read.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -249,6 +285,7 @@ class ServeDaemon:
         self.service.reject_new()
         if self.httpd is not None:
             self.httpd.shutdown()       # stop accepting
+            self.httpd.close_idle_connections()
             self.httpd.server_close()   # join in-flight handlers
         self.service.stop(self.config.drain_timeout_s)
         if self._serve_thread is not None:

@@ -2,7 +2,6 @@
 ``process_batch`` (no dispatcher thread) with an injected evaluator."""
 
 import threading
-import time
 
 import pytest
 
@@ -122,25 +121,66 @@ class TestBatching:
 class TestFailureContainment:
 
     def test_hung_evaluation_hits_deadline_and_feeds_breaker(self):
-        release = threading.Event()
+        clock_now = [100.0]
 
-        def hang(request):
-            release.wait(5.0)
+        def overrun(request):
+            clock_now[0] += 1.0  # past the 0.2 s deadline
             return (200, {})
 
         breaker = CircuitBreaker(failure_threshold=1, cooldown_s=60.0,
                                  ladder=DegradationLadder("compiled"))
-        service = make_service(evaluate=hang, breaker=breaker,
+        service = make_service(evaluate=overrun, breaker=breaker,
+                               clock=lambda: clock_now[0],
                                default_deadline_s=0.2)
         pending = service.submit(EstimateRequest(model="megatron-1t"))
-        started = time.monotonic()
         service.process_batch([pending])
-        elapsed = time.monotonic() - started
-        release.set()
         assert pending.status == 504
-        assert elapsed < 2.0  # did not wait for the hung evaluator
+        assert pending.payload["error"]["code"] == "deadline_exceeded"
         assert breaker.state == "open"
         assert counters()["serve.deadline_hits"] == 1.0
+
+    def test_overrun_stops_the_group_before_its_next_spec(self):
+        clock_now = [100.0]
+        calls = []
+
+        def overrun(request):
+            calls.append(request)
+            clock_now[0] += 1.0  # the group's deadline passes here
+            return (200, {})
+
+        breaker = CircuitBreaker(failure_threshold=5, cooldown_s=60.0,
+                                 ladder=DegradationLadder("compiled"))
+        service = make_service(evaluate=overrun, breaker=breaker,
+                               clock=lambda: clock_now[0],
+                               queue_limit=8, default_deadline_s=0.5)
+        group = [service.submit(EstimateRequest(model="megatron-1t",
+                                                tp=tp, pp=1, dp=1))
+                 for tp in (1, 2, 4)]
+        service.process_batch(group)
+        assert len(calls) == 1
+        assert [p.status for p in group] == [504, 504, 504]
+        assert breaker.describe()["consecutive_failures"] == 1
+        assert counters()["serve.deadline_hits"] == 1.0
+
+    def test_process_batch_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        service = make_service(queue_limit=8)
+        injected = [service.submit(EstimateRequest(model="megatron-1t",
+                                                   tp=tp, pp=1, dp=1))
+                    for tp in (1, 2)]
+        service.process_batch(injected)
+        real_service = EstimationService(default_deadline_s=60.0)
+        real = real_service.submit(TestRealEvaluation.REQUEST)
+        real_service.process_batch([real])
+        assert [p.status for p in injected + [real]] == [200, 200, 200]
+        assert started == []
 
     def test_crash_maps_to_500_without_traceback_payload(self):
         def crash(request):
@@ -310,6 +350,33 @@ class TestRealEvaluation:
         assert [p.status for p in grouped] == [200, 200, 422]
         assert grouped[2].payload["error"]["code"] == "mapping_infeasible"
         assert "128 layers" in grouped[2].payload["error"]["message"]
+
+    def test_overrun_stops_before_the_next_distinct_mapping(
+            self, monkeypatch):
+        from repro.serve import lifecycle
+
+        clock_now = [100.0]
+        calls = []
+        real_evaluate = lifecycle.evaluate_candidate
+
+        def overrun(*args, **kwargs):
+            calls.append(args[1])
+            clock_now[0] += 100.0  # past the 60 s deadline
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(lifecycle, "evaluate_candidate", overrun)
+        service = EstimationService(default_deadline_s=60.0,
+                                    queue_limit=8,
+                                    clock=lambda: clock_now[0])
+        grouped = [service.submit(
+            EstimateRequest(model="mingpt-85m", nodes=2,
+                            accel_per_node=8, tp=tp, pp=pp, dp=dp,
+                            batch=256))
+            for tp, pp, dp in [(1, 1, 16), (2, 1, 8), (1, 2, 8)]]
+        service.process_batch(grouped)
+        assert len(calls) == 1
+        assert [p.status for p in grouped] == [504, 504, 504]
+        assert service.breaker.describe()["consecutive_failures"] == 1
 
     def test_warm_marks_cache(self):
         service = EstimationService()

@@ -13,6 +13,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -310,6 +311,29 @@ class TestGracefulDrain:
         assert result["reply"][0] == 200
         assert result["reply"][1]["drained"] is True
         daemon.shutdown()
+
+
+    def test_drain_closes_idle_keep_alive_connections(self,
+                                                      daemon_factory):
+        daemon, __ = daemon_factory(evaluate=ok_evaluate)
+        host, port = daemon.httpd.server_address[:2]
+        clients = [HTTPConnection(host, port, timeout=10.0)
+                   for _ in range(3)]
+        try:
+            for client in clients:
+                client.request("GET", "/healthz")
+                reply = client.getresponse()
+                assert reply.status == 200
+                reply.read()  # the connection stays open and idle
+            drain = threading.Thread(target=daemon.shutdown)
+            drain.start()
+            drain.join(5.0)
+            assert not drain.is_alive(), \
+                "drain hung on an idle keep-alive connection"
+            assert not daemon.httpd._connections
+        finally:
+            for client in clients:
+                client.close()
 
 
 class TestAccessLog:
