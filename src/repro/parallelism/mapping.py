@@ -40,11 +40,11 @@ def enumerate_mappings(system: SystemSpec,
     ``bubble_overlap_ratio``).
     """
     # Validated once (the explicit degrees make a degree name in
-    # ``spec_kwargs`` a TypeError); every mapping is a copy with its
-    # degrees set, which are positive divisors by construction.
-    prototype = ParallelismSpec(tp_intra=1, tp_inter=1, pp_intra=1,
-                                pp_inter=1, dp_intra=1, dp_inter=1,
-                                **spec_kwargs)
+    # ``spec_kwargs`` a TypeError); every mapping is an unchecked copy
+    # with its degrees set, which are positive divisors by construction.
+    fields = ParallelismSpec(tp_intra=1, tp_inter=1, pp_intra=1,
+                             pp_inter=1, dp_intra=1, dp_inter=1,
+                             **spec_kwargs).__dict__
     inter_triples = list(factor_triples(system.n_nodes))
     mappings = []
     for tp_intra, pp_intra, dp_intra in factor_triples(
@@ -54,10 +54,12 @@ def enumerate_mappings(system: SystemSpec,
                     tp_intra * tp_inter, pp_intra * pp_inter, model,
                     require_tp_divides_heads):
                 continue
-            mappings.append(prototype._copy_with(
-                tp_intra=tp_intra, tp_inter=tp_inter,
+            mapping = object.__new__(ParallelismSpec)
+            mapping.__dict__.update(
+                fields, tp_intra=tp_intra, tp_inter=tp_inter,
                 pp_intra=pp_intra, pp_inter=pp_inter,
-                dp_intra=dp_intra, dp_inter=dp_inter))
+                dp_intra=dp_intra, dp_inter=dp_inter)
+            mappings.append(mapping)
     return mappings
 
 

@@ -21,6 +21,7 @@ exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,23 +162,30 @@ class ParallelismSpec:
         validates only the changed field: the rest were checked when
         ``self`` was built.  Sweeps call this once per tuned candidate.
         """
-        _check_microbatches(n_microbatches)
-        return self._copy_with(n_microbatches=n_microbatches)
+        if type(n_microbatches) is not int or n_microbatches < 1:
+            _check_microbatches(n_microbatches)  # None passes; else raises
+        return self._copy_with("n_microbatches", n_microbatches)
 
     def with_overlap(self, bubble_overlap_ratio: float) -> "ParallelismSpec":
         """A copy with a different bubble overlap ratio ``R``.
 
         Like :meth:`with_microbatches`, validates only ``R``.
         """
-        require_finite("bubble_overlap_ratio", bubble_overlap_ratio)
-        _check_overlap_sign(bubble_overlap_ratio)
-        return self._copy_with(bubble_overlap_ratio=bubble_overlap_ratio)
+        if type(bubble_overlap_ratio) is not float or not (
+                0.0 <= bubble_overlap_ratio <= _FLOAT_MAX):
+            # Not a finite non-negative float: the constructor's checks,
+            # which accept other real types and raise its errors.
+            require_finite("bubble_overlap_ratio", bubble_overlap_ratio)
+            _check_overlap_sign(bubble_overlap_ratio)
+        return self._copy_with("bubble_overlap_ratio", bubble_overlap_ratio)
 
-    def _copy_with(self, **values: object) -> "ParallelismSpec":
-        # No validation: callers check the fields they change.
+    def _copy_with(self, name: str, value: object) -> "ParallelismSpec":
+        # No validation (callers check the field they change), and one
+        # dict copy: sweeps make one per candidate.
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone.__dict__.update(values)
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state[name] = value
         return clone
 
     def describe(self) -> str:
@@ -190,6 +198,8 @@ class ParallelismSpec:
                 parts.append(f"{label}={intra}x{inter}")
         return ", ".join(parts) if parts else "serial"
 
+
+_FLOAT_MAX = sys.float_info.max
 
 _DEGREE_FIELDS = ("tp_intra", "tp_inter", "pp_intra",
                   "pp_inter", "dp_intra", "dp_inter")

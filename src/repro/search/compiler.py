@@ -17,18 +17,22 @@ estimate (``evaluation_path="compiled"``, the default), and the NumPy
 executor of :mod:`repro.search.vectorized` reads the same tables for
 whole sweeps.
 
-**Bit-exactness contract.**  Table entries are produced by calling the
-*same* estimator functions the per-layer reference walk of
+**Bit-exactness contract.**  Compute entries call the estimator
+functions the per-layer reference walk of
 :meth:`repro.core.model.AMPeD.estimate_batch` calls
-(:func:`~repro.core.compute.forward_compute_time`,
-:func:`~repro.core.communication.tp_comm_time`, ...), once per
-structural layer class, weighted by the class multiplicity.  Two
-candidates with equal term keys receive bit-identical term values (the
-collective memo of :mod:`repro.core.communication` is keyed on the
-same scalars), so a table filled by a whole sweep answers every
-candidate exactly as a table filled for that candidate alone, and the
-result equals ``"per_layer"`` within floating-point associativity
-(``<= 1e-9`` relative, enforced by the property suite).
+(:func:`~repro.core.compute.forward_compute_time`, ...), once per
+structural layer class, weighted by the class multiplicity.  The
+communication and bubble entries come from one term function per table
+(:meth:`CompiledSweep.tp_intra_term`, ...), which replays its reference
+function (:func:`~repro.core.communication.tp_comm_time`, ...,
+:func:`~repro.pipeline.schedule.bubble_prefactor`) operation for
+operation on Python floats or float64 columns alike, so a key's entry
+is bit-identical whether the scalar accessor or the NumPy batch fill
+made it (``tests/search/test_batch_fill.py`` checks both against the
+reference functions).  A table filled by a whole sweep therefore
+answers every candidate exactly as a table filled for that candidate
+alone, and the result equals ``"per_layer"`` within floating-point
+associativity (``<= 1e-9`` relative, enforced by the property suite).
 
 **Admissible lower bound.**  Every communication term of Eq. 1 is
 independent of the microbatch count, and compute time is monotone
@@ -48,23 +52,17 @@ pruner.  ``docs/performance.md`` carries the full argument.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 from collections import OrderedDict
 from itertools import repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.breakdown import TrainingTimeBreakdown
 from repro.core.bubbles import BUBBLE_MODELS
-from repro.core.communication import (
-    CommEnvironment,
-    gradient_comm_components,
-    moe_comm_time,
-    pp_comm_time,
-    tp_comm_time,
-    zero_gather_time,
-)
 from repro.core.compute import (
     backward_compute_time,
     forward_compute_time,
@@ -73,11 +71,11 @@ from repro.core.compute import (
 from repro.core.operations import build_operations
 from repro.errors import ConfigurationError, MappingError
 from repro.memory.constraints import fits_in_memory
-from repro.parallelism.microbatch import microbatch_size, replica_batch_size
+from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.pipeline.schedule import bubble_prefactor
+from repro.parallelism.topology import CollectiveTopology
 from repro.search.tuning import _with_failing_n_ub, candidate_microbatch_counts
-from repro.units import Seconds
+from repro.units import Bits, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
     from repro.core.model import AMPeD
@@ -102,9 +100,9 @@ class CompiledSweep:
     """Eq. 1 factored into per-term lookup tables for one sweep.
 
     One instance serves every candidate mapping of a (template, global
-    batch) sweep.  Tables fill lazily — a miss calls the reference
-    estimator functions once per distinct minimal key, in the process
-    that evaluates them (every serve fleet worker builds its own).
+    batch) sweep.  Tables fill lazily, once per distinct minimal key, in
+    the process that evaluates them (every serve fleet worker builds
+    its own).
     """
 
     def __init__(self, template: "AMPeD", global_batch: int) -> None:
@@ -143,6 +141,14 @@ class CompiledSweep:
             else template.zero.communication_overhead)
         self.forward_scale = 1.0 + self.zero_forward_overhead
 
+        # CommEnvironment's one check that no caller has already made.
+        if self.moe_volume_multiplier <= 0:
+            raise ConfigurationError(
+                f"moe_volume_multiplier must be positive, got "
+                f"{self.moe_volume_multiplier}")
+        self.intra_link = self.system.node.intra_link
+        self.inter_link = self.system.node.effective_inter_link
+
         operations = build_operations(self.model, self.global_batch,
                                       self.include_embeddings)
         #: ``(representative, multiplicity, gradient-table, zero-table,
@@ -156,6 +162,16 @@ class CompiledSweep:
         self.class_meta: List[Tuple[float, bool, bool]] = [
             (weight, layer.index >= 0, layer.is_moe)
             for layer, weight, *_ in self.classes]
+        #: The per-class gradient and ZeRO-3 tables, in class order.
+        self.grad_tables: List[dict] = [grad for _, _, grad, _, _
+                                        in self.classes]
+        self.zero_tables: List[dict] = [zero for _, _, _, zero, _
+                                        in self.classes]
+        #: Per class, the parameters the DP collectives move with and
+        #: without expert parallelism.
+        self._dp_parameters = [(layer.gradient_parameters(True),
+                                layer.gradient_parameters(False))
+                               for layer, *_ in self.classes]
         self._has_moe = any(is_moe for *_, is_moe in self.class_meta)
         #: Eq. 8's extra step divisor: the layer count under ``"eq8"``.
         self.bubble_layers = (self.model.n_layers
@@ -183,45 +199,112 @@ class CompiledSweep:
             3 if self.explicit_zero else 2) + sum(
             3 + (1 if layer.is_moe else 0)
             for layer, *_ in self.classes if layer.index >= 0)
-        #: The sweep's validated CommEnvironment, built on first use.
-        self._env_base: Optional[CommEnvironment] = None
 
-    # -- misses: reference-function calls -------------------------------------
+    # -- the term functions: Eqs. 6-11 over the minimal keys ------------------
+    #
+    # Each takes its table's key fields, as Python scalars or NumPy
+    # columns, and returns ``(values, ok)``: one value per table (per
+    # layer class for the per-class terms), and whether the topology
+    # calls succeeded.  Only ``+ - * /`` touch the values; the steps
+    # that differ between scalars and columns (degree-1 gates, the PP
+    # ``max``, the topology's own ``steps(n)``/``factor(n)``) come
+    # from ``ops``: :data:`SCALAR_OPS`, or the batch fill's NumPy ones.
 
-    def _environment(self, spec: ParallelismSpec) -> CommEnvironment:
-        """The exact environment ``estimate_batch`` would build.
+    def _collective(self, link, steps, factor, n_values, bits):
+        """``_collective_time``: ``C * steps + N * S / BW * T``."""
+        return (link.latency_s * steps
+                + n_values * bits / link.bandwidth_bits_per_s * factor)
 
-        Every field but the mapping is a sweep constant, so the first
-        call builds and validates one environment and later calls copy
-        it with ``spec`` swapped in, as ``ParallelismSpec._copy_with``
-        does (``spec`` itself was validated when it was built).
-        """
-        base = self._env_base
-        if base is None:
-            base = self._env_base = CommEnvironment(
-                system=self.system,
-                parallelism=spec,
-                precision=self.precision,
-                intra_topology=self.intra_topology,
-                inter_topology=self.inter_topology,
-                moe_topology=self.moe_topology,
-                zero_forward_overhead=self.zero_forward_overhead,
-                moe_volume_multiplier=self.moe_volume_multiplier,
-                moe_tp_sharding=self.moe_tp_sharding,
-            )
-            return base
-        env = object.__new__(CommEnvironment)
-        env.__dict__.update(base.__dict__)
-        env.__dict__["parallelism"] = spec
-        return env
+    def _tp_term(self, n, shard, dp, link, topology, ops) -> tuple:
+        """Eq. 6 at one level, ZeRO factor applied."""
+        steps, factor, ok = ops.topology(topology, n)
+        n_act = 2.0 * (self.global_batch / dp) * self.model.sequence_length \
+            * self.model.hidden_size / shard
+        value = self.forward_scale * self._collective(
+            link, steps, factor, n_act, self.precision.activation_bits)
+        return [ops.where(n > 1, value, 0.0)], ok
+
+    def tp_intra_term(self, tp_intra, dp, ops) -> tuple:
+        return self._tp_term(tp_intra, 1, dp, self.intra_link,
+                             self.intra_topology, ops)
+
+    def tp_inter_term(self, tp_intra, tp_inter, dp, ops) -> tuple:
+        return self._tp_term(tp_inter, tp_intra, dp, self.inter_link,
+                             self.inter_topology, ops)
+
+    def pp_term(self, intra, inter, dp, ops) -> tuple:
+        """Eq. 7: the slower level with more than one stage, scaled."""
+        n_bits = (self.global_batch / dp * self.model.sequence_length
+                  * self.model.hidden_size * self.precision.activation_bits)
+        levels = [ops.where(gate, (link.latency_s + n_bits
+                                   / link.bandwidth_bits_per_s)
+                            / self.model.n_layers, 0.0)
+                  for gate, link in ((intra, self.intra_link),
+                                     (inter, self.inter_link))]
+        return [self.forward_scale * ops.maximum(*levels)], True
+
+    def moe_term(self, tp, dp, expert_parallel, ops) -> tuple:
+        """Eq. 9 when experts are sharded over nodes, scaled."""
+        n_nodes = self.system.n_nodes
+        nodes = ops.where(expert_parallel, n_nodes, 1)
+        _, factor, ok = ops.topology(self.moe_topology, nodes, False)
+        n_act = (self.global_batch / dp * self.model.sequence_length
+                 * self.model.hidden_size * self.moe_volume_multiplier)
+        if self.moe_tp_sharding:
+            n_act = n_act / tp
+        latency = 2.0 * self.inter_link.latency_s * factor * n_nodes
+        volume = 2.0 * n_act * self.precision.activation_bits * factor * (
+            1.0 / (n_nodes * self.intra_link.bandwidth_bits_per_s)
+            + (n_nodes - 1.0)
+            / (n_nodes * self.inter_link.bandwidth_bits_per_s))
+        return [ops.where(nodes > 1, self.forward_scale * (latency + volume),
+                          0.0)], ok
+
+    def gradient_term(self, tp, dp_intra, dp_inter, expert_parallel,
+                      ops, bits: Optional[Bits] = None) -> tuple:
+        """Eqs. 10-11: per class, the ``(intra, inter)`` all-reduce of
+        the layer's TP-sharded gradients (of ``bits``-wide values)."""
+        intra = ops.topology(self.intra_topology, dp_intra)
+        inter = ops.topology(self.inter_topology, dp_inter)
+        if bits is None:
+            bits = self.precision.gradient_bits
+        pairs = []
+        for with_experts, without in self._dp_parameters:
+            n_values = ops.where(expert_parallel, with_experts,
+                                 without) / tp
+            pairs.append((
+                ops.where(dp_intra > 1, self._collective(
+                    self.intra_link, *intra[:2], n_values, bits), 0.0),
+                ops.where(dp_inter > 1, self._collective(
+                    self.inter_link, *inter[:2], n_values / dp_intra,
+                    bits), 0.0)))
+        return pairs, intra[2] & inter[2]
+
+    def zero_term(self, tp, dp_intra, dp_inter, expert_parallel,
+                  ops) -> tuple:
+        """Explicit ZeRO-3: per class, one all-gather of the layer's
+        parameters, half an all-reduce at each level."""
+        pairs, ok = self.gradient_term(tp, dp_intra, dp_inter,
+                                       expert_parallel, ops,
+                                       self.precision.parameter_bits)
+        return [0.5 * intra + 0.5 * inter for intra, inter in pairs], ok
+
+    @staticmethod
+    def bubble_term(pp, n_ub, overlap_ratio, ops) -> tuple:
+        """Eq. 8's prefactor ``R (N_PP - 1) / N_ub``."""
+        return [ops.where(pp > 1, overlap_ratio * (pp - 1) / n_ub,
+                          0.0)], True
 
     # -- the term tables: one fill per table ----------------------------------
     #
-    # Each accessor owns one table's key layout, reference-function call
-    # and stored value.  The scalar combiner reads every term through
-    # them, and the NumPy backend (:mod:`repro.search.vectorized`) calls
-    # them once per distinct key of a candidate batch, so both read the
-    # same dict entries.
+    # Each accessor owns one table's key layout and fills a miss through
+    # its term function; the NumPy backend fills a batch's missing keys
+    # through the same functions, as columns, into the same tables.
+
+    def _fill_key(self, tables: List[dict], key: tuple, term) -> None:
+        self._misses += len(tables)
+        for table, value in zip(tables, term(*key, SCALAR_OPS)[0]):
+            table[key] = value
 
     def _efficiency_at(self, dp: int, n_ub: int) -> Optional[float]:
         """``eff(ub)`` for key ``(dp, N_ub)``, or ``None`` when the
@@ -264,13 +347,10 @@ class CompiledSweep:
     def bubble_prefactor_for(self, pp: int, n_ub: int,
                              overlap_ratio: float) -> float:
         """The bubble prefactor for key ``(pp, n_ub, overlap_ratio)``."""
-        bubble_k = (pp, n_ub, overlap_ratio)
-        pref = self._bubble_prefactor.get(bubble_k)
-        if pref is None:
-            self._misses += 1
-            pref = bubble_prefactor(pp, n_ub, overlap_ratio)
-            self._bubble_prefactor[bubble_k] = pref
-        return pref
+        key = (pp, n_ub, overlap_ratio)
+        if key not in self._bubble_prefactor:
+            self._fill_key([self._bubble_prefactor], key, self.bubble_term)
+        return self._bubble_prefactor[key]
 
     def compute_triples_for(self, eff: float) -> List[tuple]:
         """Per-class ``(U_f, U_b, U_w)`` triples at efficiency ``eff``,
@@ -296,94 +376,47 @@ class CompiledSweep:
     def gradient_pairs_for(self, spec: ParallelismSpec) -> List[tuple]:
         """Per-class gradient ``(intra, inter)`` pairs for the
         candidate's gradient key, in class order."""
-        grad_k = (spec.tp, spec.dp_intra, spec.dp_inter,
-                  spec.expert_parallel)
-        env: Optional[CommEnvironment] = None
-        pairs = []
-        for layer, _, grad_table, _, _ in self.classes:
-            grad = grad_table.get(grad_k)
-            if grad is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                components = gradient_comm_components(
-                    env, layer.gradient_parameters(spec.expert_parallel))
-                grad = (components["intra"], components["inter"])
-                grad_table[grad_k] = grad
-            pairs.append(grad)
-        return pairs
+        key = (spec.tp, spec.dp_intra, spec.dp_inter, spec.expert_parallel)
+        if key not in self.grad_tables[0]:
+            self._fill_key(self.grad_tables, key, self.gradient_term)
+        return [table[key] for table in self.grad_tables]
 
     def zero_gathers_for(self, spec: ParallelismSpec) -> List[float]:
         """Per-class explicit ZeRO-3 gather times for the candidate's
         gradient key (meaningful only when ``explicit_zero``)."""
-        grad_k = (spec.tp, spec.dp_intra, spec.dp_inter,
-                  spec.expert_parallel)
-        env: Optional[CommEnvironment] = None
-        gathers = []
-        for layer, _, _, zero_table, _ in self.classes:
-            gather = zero_table.get(grad_k)
-            if gather is None:
-                self._misses += 1
-                if env is None:
-                    env = self._environment(spec)
-                gather = zero_gather_time(
-                    env, layer.gradient_parameters(spec.expert_parallel))
-                zero_table[grad_k] = gather
-            gathers.append(gather)
-        return gathers
+        key = (spec.tp, spec.dp_intra, spec.dp_inter, spec.expert_parallel)
+        if key not in self.zero_tables[0]:
+            self._fill_key(self.zero_tables, key, self.zero_term)
+        return [table[key] for table in self.zero_tables]
 
     def tp_intra_for(self, spec: ParallelismSpec) -> float:
         """The scaled intra-node TP term for key ``(tp_intra, dp)``."""
         key = (spec.tp_intra, spec.dp)
-        value = self._tp_intra.get(key)
-        if value is None:
-            self._misses += 1
-            value = self.forward_scale * tp_comm_time(
-                self._environment(spec), self.model,
-                replica_batch_size(self.global_batch, spec), "intra")
-            self._tp_intra[key] = value
-        return value
+        if key not in self._tp_intra:
+            self._fill_key([self._tp_intra], key, self.tp_intra_term)
+        return self._tp_intra[key]
 
     def tp_inter_for(self, spec: ParallelismSpec) -> float:
         """The scaled inter-node TP term for key
         ``(tp_intra, tp_inter, dp)``."""
         key = (spec.tp_intra, spec.tp_inter, spec.dp)
-        value = self._tp_inter.get(key)
-        if value is None:
-            self._misses += 1
-            value = self.forward_scale * tp_comm_time(
-                self._environment(spec), self.model,
-                replica_batch_size(self.global_batch, spec), "inter")
-            self._tp_inter[key] = value
-        return value
+        if key not in self._tp_inter:
+            self._fill_key([self._tp_inter], key, self.tp_inter_term)
+        return self._tp_inter[key]
 
     def pp_for(self, spec: ParallelismSpec) -> float:
         """The scaled PP term for key ``(pp_intra>1, pp_inter>1, dp)``."""
         key = (spec.pp_intra > 1, spec.pp_inter > 1, spec.dp)
-        value = self._pp.get(key)
-        if value is None:
-            self._misses += 1
-            env = self._environment(spec)
-            replica_batch = replica_batch_size(self.global_batch, spec)
-            value = self.forward_scale * max(
-                pp_comm_time(env, self.model, replica_batch, "intra"),
-                pp_comm_time(env, self.model, replica_batch, "inter"))
-            self._pp[key] = value
-        return value
+        if key not in self._pp:
+            self._fill_key([self._pp], key, self.pp_term)
+        return self._pp[key]
 
     def moe_for(self, spec: ParallelismSpec) -> float:
         """The scaled MoE term for key ``(tp, dp, expert_parallel)``."""
         key = (spec.tp, spec.dp, spec.expert_parallel)
-        value = self._moe.get(key)
-        if value is None:
-            self._misses += 1
-            env = self._environment(spec)
-            replica_batch = replica_batch_size(self.global_batch, spec)
-            moe = (moe_comm_time(env, self.model, replica_batch)
-                   if spec.expert_parallel else 0.0)
-            value = self.forward_scale * moe
-            self._moe[key] = value
-        return value
+        if key not in self._moe:
+            self._fill_key([self._moe], key, self.moe_term)
+        return self._moe[key]
 
     # -- Eq. 1 -------------------------------------------------------------------
 
@@ -494,23 +527,19 @@ class CompiledSweep:
 
     # -- public evaluation API -------------------------------------------------
 
-    def component_totals(self, spec: ParallelismSpec) -> dict:
-        """Eq. 1's component totals, keyed like the breakdown fields."""
-        totals = self._combine(spec, self.efficiency_for(spec))
-        return dict(zip(COMPONENT_NAMES, totals))
-
-    def breakdown(self, spec: ParallelismSpec) -> TrainingTimeBreakdown:
+    def breakdown(self, spec: ParallelismSpec,
+                  totals: Optional[tuple] = None) -> TrainingTimeBreakdown:
         """The candidate's breakdown (what ``estimate_batch`` returns
-        on the default path)."""
-        return TrainingTimeBreakdown(**self.component_totals(spec))
+        on the default path), from its component ``totals`` when the
+        caller holds them."""
+        if totals is None:
+            totals = self._combine(spec, self.efficiency_for(spec))
+        return TrainingTimeBreakdown(**dict(zip(COMPONENT_NAMES, totals)))
 
-    def batch_time(self, spec: ParallelismSpec,
-                   terms: Optional[tuple] = None) -> Seconds:
-        """The candidate's batch time, bit-identical to
-        ``estimate_batch(global_batch).total`` on the default path —
-        including raising the same errors for infeasible microbatches
-        and non-finite components.  ``terms`` are the mapping's
-        :meth:`mapping_terms`, when the caller already holds them."""
+    def _evaluate(self, spec: ParallelismSpec,
+                  terms: Optional[tuple] = None) -> Tuple[tuple, float]:
+        """``(component totals, batch time)``, raising what
+        :meth:`batch_time` raises."""
         totals = self._combine(spec, self.efficiency_for(spec),
                                terms=terms)
         total = total_of(totals)
@@ -519,8 +548,17 @@ class CompiledSweep:
             # breakdown's ConfigurationError; replay it exactly (and
             # fall through when only the *sum* overflowed, which the
             # reference path returns as an inf total).
-            TrainingTimeBreakdown(**dict(zip(COMPONENT_NAMES, totals)))
-        return total
+            self.breakdown(spec, totals)
+        return totals, total
+
+    def batch_time(self, spec: ParallelismSpec,
+                   terms: Optional[tuple] = None) -> Seconds:
+        """The candidate's batch time, bit-identical to
+        ``estimate_batch(global_batch).total`` on the default path —
+        including raising the same errors for infeasible microbatches
+        and non-finite components.  ``terms`` are the mapping's
+        :meth:`mapping_terms`, when the caller already holds them."""
+        return self._evaluate(spec, terms)[1]
 
     def best_microbatch(self, spec: ParallelismSpec,
                         candidates: Optional[Iterable[int]] = None
@@ -528,17 +566,24 @@ class CompiledSweep:
         """Pick the ``N_ub`` minimizing batch time — selection,
         tie-breaking and failure semantics identical to
         :func:`repro.search.tuning.optimize_microbatches`."""
+        return self.tune(spec, candidates)[:2]
+
+    def tune(self, spec: ParallelismSpec,
+             candidates: Optional[Iterable[int]] = None
+             ) -> Tuple[ParallelismSpec, float, tuple]:
+        """:meth:`best_microbatch`, plus the winner's component totals
+        (one combine per tried ``N_ub``, none after)."""
         if candidates is None:
             candidates = candidate_microbatch_counts(spec,
                                                      self.global_batch)
-        best: Optional[Tuple[ParallelismSpec, float]] = None
+        best: Optional[Tuple[ParallelismSpec, float, tuple]] = None
         last_error = None
         last_n_ub: Optional[int] = None
         terms = None
         for n_ub in candidates:
             tuned = spec.with_microbatches(n_ub)
             try:
-                batch_time = self.batch_time(tuned, terms)
+                totals, batch_time = self._evaluate(tuned, terms)
             except MappingError as error:
                 last_error, last_n_ub = error, n_ub
                 continue
@@ -550,7 +595,7 @@ class CompiledSweep:
                 last_n_ub = n_ub
                 continue
             if best is None or batch_time < best[1]:
-                best = (tuned, batch_time)
+                best = (tuned, batch_time, totals)
         if best is None:
             if last_error is None:
                 raise MappingError(
@@ -602,6 +647,25 @@ class CompiledSweep:
             "hits": max(0, self._lookups - self._misses),
             "entries": entries,
         }
+
+
+@functools.lru_cache(maxsize=1024)
+def topology_terms(topology: CollectiveTopology, n: int,
+                   steps: bool = True) -> tuple:
+    """The topology's ``(steps(n), factor(n))`` (``steps`` 0 unless
+    asked for), and ``(0, 0.0)`` for a single participant, whose term is
+    gated to 0.0 without asking the topology, as the reference does."""
+    if n > 1:
+        return topology.steps(n) if steps else 0, topology.factor(n)
+    return 0, 0.0
+
+
+#: The term functions' ``ops`` on Python scalars: topology errors raise.
+SCALAR_OPS = SimpleNamespace(
+    where=lambda condition, value, other: value if condition else other,
+    maximum=max,
+    topology=lambda topology, n, steps=True: (
+        *topology_terms(topology, n, steps), True))
 
 
 def total_of(components: tuple):

@@ -289,7 +289,7 @@ def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
         spec.validate_against_model(template.model.n_layers,
                                     template.model.n_heads)
     needs_memory_check = enforce_memory
-    tuned = spec
+    tuned, totals = spec, None
     try:
         if tune_microbatches:
             candidates = None
@@ -304,7 +304,7 @@ def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
                         spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
                         detail=NO_MICROBATCH_FITS)
                 needs_memory_check = False
-            tuned, _ = compiled.best_microbatch(spec, candidates)
+            tuned, _, totals = compiled.tune(spec, candidates)
         microbatch = microbatch_size(global_batch, tuned)
         if needs_memory_check and not fits_in_memory(
                 template.model, tuned, microbatch,
@@ -313,7 +313,7 @@ def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
             return CandidateOutcome(
                 spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
                 detail=f"microbatch {microbatch:g} does not fit in HBM")
-        breakdown = compiled.breakdown(tuned)
+        breakdown = compiled.breakdown(tuned, totals)
     except MemoryCapacityError as error:
         return CandidateOutcome(spec=spec,
                                 skip_category=SKIP_MEMORY_CAPACITY,

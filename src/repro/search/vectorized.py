@@ -7,15 +7,20 @@ that inner loop into NumPy array operations:
 
 1. **Project**: the specs are read once into int64 columns, and each
    key of :data:`repro.collectives.keys.TERM_KEYS` becomes one int64
-   code per candidate, composed from dense column ranks; one
-   ``np.unique`` over all keys' codes numbers each key's classes in
+   code per candidate, a mixed-radix number over dense column ranks
+   (small integers are ranked through a presence table, not a sort);
+   one ranking over all keys' codes numbers each key's classes in
    first-seen order (``tests/search/test_vectorized.py`` pins the
    partitions against the taxonomy functions).
-2. **Batch-fill**: each term table is filled once per *distinct* key,
-   on the class's first candidate, through
-   :class:`~repro.search.compiler.CompiledSweep`'s batch-fill
-   accessors — into the compiled sweep's own dict tables, so both
-   backends read identical values — and packed into ``float64`` arrays.
+2. **Batch-fill**: each communication and bubble table evaluates the
+   batch's *missing* distinct keys in one call of its
+   :class:`~repro.search.compiler.CompiledSweep` term function, on the
+   keys' columns — the function the scalar accessors call on floats —
+   and writes them into the compiled sweep's own dict tables, so both
+   backends read identical values; the topology's ``steps(n)`` and
+   ``factor(n)`` run once per distinct participant count.  Efficiency
+   and compute entries stay one scalar call per distinct key.  Every
+   table is then packed into ``float64`` arrays.
 3. **Gather + sum**: all candidates evaluate as column-wise gathers
    into those arrays, summed by
    :meth:`~repro.search.compiler.CompiledSweep.assemble` — the one
@@ -54,7 +59,8 @@ import math
 import threading
 import time
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +69,12 @@ from repro.errors import MappingError
 from repro.obs.metrics import VECTORIZED_STATS
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
-from repro.search.compiler import COMPONENT_NAMES, CompiledSweep, total_of
+from repro.search.compiler import (
+    COMPONENT_NAMES,
+    CompiledSweep,
+    topology_terms,
+    total_of,
+)
 from repro.search.tuning import candidate_microbatch_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
@@ -86,7 +97,10 @@ _EVAL_CHUNK_LANES = 131072
 #: degrees and the expert-parallel flag, plus ``N_ub`` when untuned.
 _FIELDS = ("tp_intra", "tp_inter", "pp_intra", "pp_inter", "dp_intra",
            "dp_inter", "expert_parallel")
-_DEGREES = attrgetter(*_FIELDS)
+#: Fields read from a spec's ``__dict__`` (cheaper than attributes);
+#: ``microbatches`` is a property, so an untuned batch reads attributes.
+_STATE = attrgetter("__dict__")
+_DEGREES = itemgetter(*_FIELDS)
 _DEGREES_AND_NUB = attrgetter(*_FIELDS, "microbatches")
 _RATIO = attrgetter("bubble_overlap_ratio")
 
@@ -176,8 +190,8 @@ class BoundBatch:
 
     Construction performs the projection (candidate → key indices per
     term, expanded over the ``N_ub`` lanes when tuning) and the batch
-    fill (one accessor call per distinct key, landing in the compiled
-    sweep's dict tables *and* in dense arrays).  Evaluation is then
+    fill (each table's missing distinct keys as columns, landing in the
+    compiled sweep's dict tables *and* in dense arrays).  Evaluation is then
     pure gather+sum.  With ``enforce_memory`` every lane is also
     looked up in the compiled sweep's memory screen, which masks the
     lanes :meth:`best_lanes` picks from.
@@ -197,12 +211,14 @@ class BoundBatch:
         # -- columns: one attribute pass over the specs --------------------
         fields = 7 if tune_microbatches else 8
         degrees = np.fromiter(
-            chain.from_iterable(map(
-                _DEGREES if tune_microbatches else _DEGREES_AND_NUB, specs)),
+            chain.from_iterable(
+                map(_DEGREES, map(_STATE, specs)) if tune_microbatches
+                else map(_DEGREES_AND_NUB, specs)),
             dtype=np.int64, count=n * fields).reshape(n, fields)
         # ``+ 0.0`` folds -0.0 onto 0.0, which a dict key also merges.
-        ratio = np.fromiter(map(_RATIO, specs), dtype=np.float64,
-                            count=n) + 0.0
+        raw_ratio = np.fromiter(map(_RATIO, specs), dtype=np.float64,
+                                count=n)
+        ratio = raw_ratio + 0.0
         totals = degrees[:, 0:6:2] * degrees[:, 1:6:2]  # tp, pp, dp
         tp, pp, dp = totals.T
         world = tp * pp * dp
@@ -215,15 +231,19 @@ class BoundBatch:
         self._pp_gt1 = pp > 1
 
         # -- keys: one int64 code per key, from dense column ranks ---------
-        # All columns share one value set, so a key's code is a
-        # base-``radix`` number over its columns' ranks (_*_KEY_ROWS).
-        block = np.concatenate(
+        # The integer columns share one value set and R has its own; a
+        # key's code is a mixed-radix number over its columns' ranks
+        # (_*_KEY_ROWS), each digit below its column's largest rank.
+        counts, _ = _rerank(np.concatenate(
             [degrees[:, :7], totals, np.minimum(degrees[:, 2:4], 2),
-             ratio.view(np.int64).reshape(n, 1), degrees[:, 7:]], axis=1)
-        ranks, radix = _rerank(block)
+             degrees[:, 7:]], axis=1))
+        ratios, _ = _rerank(ratio.view(np.int64))
+        ranks = np.concatenate(
+            [counts[:, :_R], ratios[:, None], counts[:, _R:]], axis=1)
+        spans = ranks.max(axis=0, initial=0) + 1
         n_lane_keys = 3 if enforce_memory else 2
         spec_classes = _classes(*_codes(
-            ranks, radix, _TERM_KEY_ROWS + (
+            ranks, spans, _TERM_KEY_ROWS + (
                 (_GRID_ROW, _TABLE_ROWS[enforce_memory]) if tune_microbatches
                 else _LANE_KEY_ROWS[:n_lane_keys])))
         ((self._tpi_idx, tpi_first), (self._tpx_idx, tpx_first),
@@ -257,7 +277,7 @@ class BoundBatch:
             lane_classes = _classes(*_codes(
                 np.concatenate([ranks[entry_spec], nub_ranks[:, None]],
                                axis=1),
-                max(radix, nub_radix), _LANE_KEY_ROWS[:n_lane_keys]))
+                np.append(spans, nub_radix), _LANE_KEY_ROWS[:n_lane_keys]))
             lane_keys = [(ids[lane_entry], entry_spec[first],
                           entry_nub[first]) for ids, first in lane_classes]
         else:  # one lane per spec, at its own N_ub
@@ -278,34 +298,46 @@ class BoundBatch:
                     in zip(mem_rows.tolist(), mem_nubs.tolist())]
             self._lane_fits = np.array(fits, dtype=bool)[lane_mem]
 
-        # -- batch fill: one accessor call per distinct key ----------------
-        # Fills land in the compiled sweep's own dict tables, keeping
-        # both backends reading identical values; keys whose reference
-        # function raises MappingError become NaN rows, so any lane
-        # touching them evaluates non-finite and falls back to the
-        # scalar path for the exact error semantics.  Classes number in
-        # first-seen order, so the tables fill in candidate order.
+        # -- batch fill: each table's missing distinct keys at once -------
+        # Every table but eff(ub) fills through its compiled term
+        # function, run on the keys' columns (_fill), into the compiled
+        # sweep's own dict tables, so both backends read identical
+        # values.  Classes number in first-seen order, so the tables
+        # fill in candidate order.
         effs: List[Optional[float]] = []
-        for row, n_ub in zip(eff_rows.tolist(), eff_nubs.tolist()):
+        for dp_key, n_ub in zip(dp[eff_rows].tolist(), eff_nubs.tolist()):
             try:
-                effs.append(compiled.efficiency_for(
-                    specs[row].with_microbatches(n_ub)))
+                effs.append(compiled._efficiency_at(dp_key, n_ub))
             except MappingError:
                 effs.append(None)
         self._eff_ok = np.array([eff is not None for eff in effs], bool)
         self._eff_vals = np.array(  # 1.0: a placeholder, masked by _eff_ok
             [1.0 if eff is None else eff for eff in effs], dtype=np.float64)
 
-        self._bub_vals = np.array([
-            compiled.bubble_prefactor_for(
-                specs[row].pp, n_ub, specs[row].bubble_overlap_ratio)
-            for row, n_ub in zip(bub_rows.tolist(), bub_nubs.tolist())],
-            dtype=np.float64)
-
-        self._tpi_vals = _fill(specs, tpi_first, compiled.tp_intra_for)
-        self._tpx_vals = _fill(specs, tpx_first, compiled.tp_inter_for)
-        self._pp_vals = _fill(specs, pp_first, compiled.pp_for)
-        self._moe_vals = _fill(specs, moe_first, compiled.moe_for)
+        experts = degrees[:, _EP] != 0
+        self._bub_vals = _fill(
+            compiled, [compiled._bubble_prefactor], compiled.bubble_term,
+            pp[bub_rows], bub_nubs, raw_ratio[bub_rows])[:, 0, 0]
+        self._tpi_vals = _fill(
+            compiled, [compiled._tp_intra], compiled.tp_intra_term,
+            degrees[tpi_first, _TPI], dp[tpi_first])[:, 0, 0]
+        self._tpx_vals = _fill(
+            compiled, [compiled._tp_inter], compiled.tp_inter_term,
+            *degrees[tpx_first, _TPI:_TPX + 1].T, dp[tpx_first])[:, 0, 0]
+        self._pp_vals = _fill(
+            compiled, [compiled._pp], compiled.pp_term,
+            *(degrees[pp_first, _PPI:_PPX + 1] > 1).T, dp[pp_first])[:, 0, 0]
+        self._moe_vals = _fill(
+            compiled, [compiled._moe], compiled.moe_term, tp[moe_first],
+            dp[moe_first], experts[moe_first])[:, 0, 0]
+        grad_key = (tp[grad_first], *degrees[grad_first, _DPI:_DPX + 1].T,
+                    experts[grad_first])
+        self._grad = list(_fill(compiled, compiled.grad_tables,
+                                compiled.gradient_term, *grad_key,
+                                width=2).swapaxes(0, 1))
+        self._zero = (list(_fill(compiled, compiled.zero_tables,
+                                 compiled.zero_term, *grad_key)[:, :, 0].T)
+                      if compiled.explicit_zero else None)
 
         # Per-class value arrays are column views of one array per table.
         n_classes = len(compiled.classes)
@@ -313,13 +345,6 @@ class BoundBatch:
                          else compiled.compute_triples_for(float(eff))
                          for eff in effs], dtype=np.float64)
         self._comp = list(comp.reshape(-1, n_classes, 3).swapaxes(0, 1))
-        grad = _fill(specs, grad_first, compiled.gradient_pairs_for,
-                     [(math.nan, math.nan)] * n_classes)
-        self._grad = list(grad.reshape(-1, n_classes, 2).swapaxes(0, 1))
-        self._zero = (list(_fill(
-            specs, grad_first, compiled.zero_gathers_for,
-            [math.nan] * n_classes).reshape(-1, n_classes).T)
-            if compiled.explicit_zero else None)
 
         self._lane_ok = self._eff_ok[self._lane_eff_idx]
         self._lane_components_cache: Optional[tuple] = None
@@ -478,64 +503,118 @@ class BoundBatch:
         return np.where(feasible, bounds, np.nan)
 
 
-def _fill(specs: List[ParallelismSpec], rows, getter,
-          failed: object = math.nan):
-    """Dense values of one table: one accessor call per distinct key,
-    on its class's first spec ``specs[row]``; a key whose reference
-    function raises MappingError gets ``failed`` (NaN rows, whose lanes
-    fall back to the scalar path)."""
-    values = []
-    for row in rows.tolist():
+def _fill(compiled: CompiledSweep, tables: List[dict], term, *columns,
+          width: int = 1):
+    """Dense ``(key, table, width)`` values of one term over its
+    distinct keys, whose fields are ``columns``: ``tables`` (one per
+    layer class for the per-class terms; ``width`` 2 stores pairs) are
+    read where they hold a key, and the missing keys go through the
+    term function in one call and land there in key order.  A key whose
+    topology raised :class:`MappingError` reads NaN and stays out, like
+    a scalar fill that raised, so its lanes fall back to that path."""
+    keys = list(zip(*(column.tolist() for column in columns)))
+    values = np.empty((len(keys), len(tables), width))
+    head = tables[0]
+    missing = [i for i, key in enumerate(keys) if key not in head]
+    if len(missing) < len(keys):
+        hits = [i for i, key in enumerate(keys) if key in head]
+        values[hits] = np.array([[table[keys[i]] for table in tables]
+                                 for i in hits]).reshape(-1, len(tables),
+                                                         width)
+    if not missing:
+        return values
+    rows = np.array(missing, dtype=np.intp)
+    fresh, ok = term(*(column[rows] for column in columns), _ARRAY_OPS)
+    fresh = np.array(fresh, dtype=np.float64).reshape(
+        len(tables), width, len(rows)).transpose(2, 0, 1)
+    ok = np.broadcast_to(ok, rows.shape)
+    fresh[~ok] = np.nan
+    filled = [keys[i] for i in rows[ok].tolist()]
+    for index, table in enumerate(tables):
+        column = fresh[ok, index]
+        table.update(zip(filled, column[:, 0].tolist() if width == 1
+                         else map(tuple, column.tolist())))
+    compiled._misses += len(rows) * len(tables)
+    values[rows] = fresh
+    return values
+
+
+def _topology(topology, counts, steps: bool = True) -> tuple:
+    """:func:`~repro.search.compiler.topology_terms` over a column of
+    participant counts, called once per distinct count and gathered:
+    ``(steps, factor, ok)``, ``ok`` False where it raised
+    :class:`MappingError`."""
+    counts = counts.tolist()
+    table = {}
+    for count in set(counts):
         try:
-            values.append(getter(specs[row]))
+            table[count] = (*topology_terms(topology, count, steps), True)
         except MappingError:
-            values.append(failed)
-    return np.array(values, dtype=np.float64)
+            table[count] = (0, 0.0, False)
+    return tuple(map(np.array, zip(*map(table.__getitem__, counts))))
+
+
+#: The term functions' ``ops`` on NumPy columns.
+_ARRAY_OPS = SimpleNamespace(where=np.where, maximum=np.maximum,
+                             topology=_topology)
 
 
 #: Largest key-code span: ``code * base + digit`` then fits int64.
 _CODE_LIMIT = 1 << 62
 
 
-def _codes(ranks, radix: int, keys) -> tuple:
+def _codes(ranks, spans, keys) -> tuple:
     """``(codes, span)``: per key, a row of int64 codes below ``span``
-    reading the key's ``ranks`` columns as base-``radix`` digits.  One
-    matrix product while the spans fit :data:`_CODE_LIMIT`, else digit
-    by digit, re-ranking before a digit could carry a code past it."""
-    width = max(map(len, keys))
-    if radix ** width * len(keys) <= _CODE_LIMIT:
-        weights = np.zeros((len(keys), ranks.shape[1]), dtype=np.int64)
-        for row, key in enumerate(keys):
-            for place, column in enumerate(reversed(key)):
-                weights[row, column] = radix ** place
-        return weights @ ranks.T, radix ** width
-    codes = []
+    reading the key's ``ranks`` columns as mixed-radix digits, column
+    ``c``'s below ``spans[c]`` (one int: every column's).  A code is
+    re-ranked before a digit could carry it past :data:`_CODE_LIMIT`,
+    and every code once more if the keys' spans cannot share it."""
+    spans = np.broadcast_to(spans, ranks.shape[1:]).tolist()
+    codes, widths = [], []
     for key in keys:
-        code, span = ranks[:, key[0]], radix
-        for column in key[1:]:
-            if span * radix > _CODE_LIMIT:
-                code, span = _rerank(code)
-            code, span = code * radix + ranks[:, column], span * radix
-        codes.append(_rerank(code)[0])
-    return np.stack(codes), max(1, ranks.shape[0])
+        code, width = 0, 1
+        for column in key:
+            if width * spans[column] > _CODE_LIMIT:
+                code, width = _rerank(code)
+            code = code * spans[column] + ranks[:, column]
+            width *= spans[column]
+        codes.append(code)
+        widths.append(width)
+    if max(widths) * len(keys) > _CODE_LIMIT:
+        codes = [_rerank(code)[0] for code in codes]
+        widths = [max(1, ranks.shape[0])]
+    return np.stack(codes), max(widths)
+
+
+#: Widest value range :func:`_rerank` ranks through a presence table.
+_TABLE_RANGE = 1 << 20
 
 
 def _rerank(values) -> tuple:
-    """``(dense ranks of values, shaped like values; their span)``."""
+    """``(dense ranks of values, shaped like values; their span)``.
+    Non-negative integers below a few times their count (degrees,
+    ``N_ub``, key codes) are ranked through a presence table, without a
+    sort; other values through ``np.unique``."""
+    high = values.max(initial=-1)
+    if 0 <= high < min(_TABLE_RANGE, 4 * values.size) and \
+            values.min() >= 0:
+        seen = np.zeros(high + 1, dtype=bool)
+        seen[values] = True
+        rank_of = np.cumsum(seen) - 1
+        return rank_of[values], int(rank_of[-1]) + 1
     distinct, ranks = np.unique(values, return_inverse=True)
     return ranks.reshape(values.shape), max(1, distinct.shape[0])
 
 
 def _classes(codes, span: int) -> list:
     """Equality classes of each row of ``codes`` (one key per row, codes
-    below ``span``), from one ``np.unique`` over the rows tagged into
+    below ``span``), from one :func:`_rerank` over the rows tagged into
     disjoint ranges: per key ``(ids, firsts)``, ``ids[i]`` column ``i``'s
     class, ``firsts[c]`` where class ``c`` first occurs (first-seen)."""
     n_keys, n = codes.shape
     tagged = (codes + np.arange(0, n_keys * span, span)[:, None]).ravel()
-    distinct, inverse = np.unique(tagged, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    first = np.full(distinct.shape[0], tagged.shape[0])
+    inverse, n_distinct = _rerank(tagged)
+    first = np.full(n_distinct if tagged.shape[0] else 0, tagged.shape[0])
     np.minimum.at(first, inverse, np.arange(tagged.shape[0]))
     order = first.argsort()
     renumber = np.empty_like(order)
@@ -583,8 +662,9 @@ def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
                               List[Optional["CandidateOutcome"]]]:
     """Evaluate one candidate chunk into pruner bounds and outcomes.
 
-    Validates ``specs``, then projects and batch-fills them and evaluates them as one array program.  Returns
-    ``(bounds, outcomes)``: ``bounds`` is the pruner bound per
+    Validates ``specs``, then projects and batch-fills them and
+    evaluates them as one array program.  Returns ``(bounds,
+    outcomes)``: ``bounds`` is the pruner bound per
     candidate (NaN = provably infeasible; ``None`` when not requested),
     and ``outcomes`` holds one
     :class:`~repro.search.dse.CandidateOutcome` per candidate, with

@@ -99,6 +99,10 @@ def new_trace_id() -> str:
 Response = Tuple[int, Dict[str, Any]]
 
 
+#: Guards :meth:`PendingRequest.expire` (handlers and the dispatcher).
+_EXPIRY_LOCK = threading.Lock()
+
+
 class PendingRequest:
     """One admitted request awaiting its response.
 
@@ -119,6 +123,15 @@ class PendingRequest:
         self.status = 0
         self.payload: Dict[str, Any] = {}
         self.abandoned = False
+
+    def expire(self) -> None:
+        """Flag the request abandoned by its deadline.  The first flag
+        counts one ``serve.deadline_hits``: the handler's bounded wait
+        and the dispatcher can both see the same expiry."""
+        with _EXPIRY_LOCK:
+            first, self.abandoned = not self.abandoned, True
+        if first:
+            get_metrics().counter("serve.deadline_hits").inc()
 
     def resolve(self, status: int, payload: Dict[str, Any]) -> None:
         # The Event.set() below is the publication point: the handler
@@ -272,6 +285,7 @@ class EstimationService:
         for pending in batch:
             if pending.abandoned or now >= pending.deadline:
                 metrics.counter("serve.cancelled").inc()
+                pending.expire()
                 self._respond(pending, 504, error_body(
                     "deadline_exceeded",
                     "request expired before evaluation started"))
@@ -297,9 +311,9 @@ class EstimationService:
                                  p.trace_id for p in group)}):
                 results = self._group_results(group, deadline)
         except DeadlineExceeded as error:
-            metrics.counter("serve.deadline_hits").inc()
             self.breaker.record_failure(error)
             for pending in group:
+                pending.expire()
                 self._respond(pending, 504, error_body(
                     "deadline_exceeded", str(error)))
         except ReproError as error:

@@ -214,8 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not pending.done.wait(max(0.0, remaining)):
             # Abandon: the dispatcher will skip it if still queued;
             # an in-flight evaluation resolves into the void.
-            pending.abandoned = True
-            metrics.counter("serve.deadline_hits").inc()
+            pending.expire()
             return 504, error_body(
                 "deadline_exceeded",
                 f"no result within the {remaining:.3f}s deadline"), None

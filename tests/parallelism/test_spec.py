@@ -90,9 +90,10 @@ class TestFieldTypes:
 
 
 def _error_message(build):
+    """The error's exact type and message."""
     with pytest.raises(ConfigurationError) as excinfo:
         build()
-    return str(excinfo.value)
+    return type(excinfo.value), str(excinfo.value)
 
 
 class TestFastCopies:
@@ -114,7 +115,7 @@ class TestFastCopies:
         assert repr(fast) == repr(slow)
         assert pickle.loads(pickle.dumps(fast)) == slow
 
-    @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1.0, 2])
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 0.5, 1.0, 2])
     def test_with_overlap_equals_replace(self, value):
         fast = self.BASE.with_overlap(value)
         slow = replace(self.BASE, bubble_overlap_ratio=value)
@@ -128,14 +129,16 @@ class TestFastCopies:
         self.BASE.with_microbatches(3).with_overlap(0.1)
         assert repr(self.BASE) == before
 
-    @pytest.mark.parametrize("value", [0, -3, 2.5, 4.0, True, "8"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 4.0, True, "8", "x",
+                                       -0.5, math.nan, math.inf,
+                                       -math.inf])
     def test_with_microbatches_rejects_like_replace(self, value):
         assert _error_message(
             lambda: self.BASE.with_microbatches(value)) == _error_message(
             lambda: replace(self.BASE, n_microbatches=value))
 
-    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, "x",
-                                       None])
+    @pytest.mark.parametrize("value", [-0.1, -0.5, math.nan, math.inf,
+                                       -math.inf, "x", None])
     def test_with_overlap_rejects_like_replace(self, value):
         assert _error_message(
             lambda: self.BASE.with_overlap(value)) == _error_message(

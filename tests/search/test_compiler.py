@@ -121,6 +121,26 @@ class TestBestMicrobatch:
             assert tuned_spec == tuned_amped.parallelism
             assert batch_time == expected
 
+    def test_tuned_evaluation_combines_once_per_microbatch(
+            self, template, monkeypatch):
+        from repro.search.dse import evaluate_candidate
+        from repro.search.tuning import candidate_microbatch_counts
+        spec = ParallelismSpec(pp_intra=4, dp_inter=4)
+        expected = compile_sweep(template, GLOBAL_BATCH).best_microbatch(
+            spec)
+        clear_compiled_cache()
+        compiled = compile_sweep(template, GLOBAL_BATCH)
+        real, combined = compiled._combine, []
+        monkeypatch.setattr(compiled, "_combine", lambda candidate, *a, **k:
+                            combined.append(candidate.microbatches)
+                            or real(candidate, *a, **k))
+        result = evaluate_candidate(template, spec, GLOBAL_BATCH).result
+        # One combine per tried N_ub, and none for the winner after.
+        assert combined == candidate_microbatch_counts(spec, GLOBAL_BATCH)
+        assert (result.parallelism, result.batch_time_s) == expected
+        assert result.breakdown == CompiledSweep(
+            template, GLOBAL_BATCH).breakdown(result.parallelism)
+
     def test_failure_names_the_failing_n_ub(self, template):
         compiled = CompiledSweep(template, GLOBAL_BATCH)
         spec = ParallelismSpec(dp_intra=4, dp_inter=4)
@@ -189,15 +209,14 @@ class TestTables:
 
 
 class TestEnvironment:
-    """Fills share one validated CommEnvironment per sweep, copied per
-    mapping; the copy is the environment estimate_batch would build."""
+    """The fills read the links of the environment estimate_batch
+    would build, and the sweep rejects what that environment would."""
 
-    def test_copy_equals_a_fresh_build(self, template, system):
+    def test_links_equal_a_fresh_build(self, template, system):
         from repro.core.communication import CommEnvironment
         compiled = CompiledSweep(template, GLOBAL_BATCH)
-        specs = enumerate_mappings(system, template.model)[:4]
-        for spec in specs:
-            assert compiled._environment(spec) == CommEnvironment(
+        for spec in enumerate_mappings(system, template.model)[:4]:
+            env = CommEnvironment(
                 system=system, parallelism=spec,
                 precision=template.precision,
                 intra_topology=template.intra_topology,
@@ -206,6 +225,14 @@ class TestEnvironment:
                 zero_forward_overhead=compiled.zero_forward_overhead,
                 moe_volume_multiplier=template.moe_volume_multiplier,
                 moe_tp_sharding=template.moe_tp_sharding)
+            assert (compiled.intra_link, compiled.inter_link) == (
+                env.intra_link, env.inter_link)
+
+    def test_invalid_environment_raises_at_build(self, template):
+        with pytest.raises(ConfigurationError,
+                           match="moe_volume_multiplier must be positive"):
+            CompiledSweep(replace(template, moe_volume_multiplier=0.0),
+                          GLOBAL_BATCH)
 
 
 class TestProcessCache:

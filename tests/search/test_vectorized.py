@@ -276,7 +276,10 @@ class TestProjectionSuite:
         assert len(compiled._fits) == len(
             {_memory_key(specs[row], n_ub) for row, n_ub in lanes})
 
-    def test_one_call_per_distinct_key(self, template, monkeypatch):
+    def test_one_fill_per_distinct_key(self, template, monkeypatch):
+        """Each table fills each distinct key of the batch once: the
+        tables hold exactly the batch's distinct keys, every table miss
+        made one entry, and binding the batch again misses nothing."""
         import random
         from collections import defaultdict
 
@@ -286,24 +289,10 @@ class TestProjectionSuite:
                                   200, explicit_nub=False)
         compiled = CompiledSweep(template, GLOBAL_BATCH)
         calls = defaultdict(list)
-
-        def counted(name, key_of):
-            real = getattr(compiled, name)
-
-            def wrapper(*args):
-                calls[name].append(key_of(*args))
-                return real(*args)
-            monkeypatch.setattr(compiled, name, wrapper)
-
-        counted("efficiency_for", keys.efficiency_key)
-        counted("bubble_prefactor_for", lambda *key: key)
-        counted("tp_intra_for", keys.tp_intra_key)
-        counted("tp_inter_for", keys.tp_inter_key)
-        counted("pp_for", keys.pp_key)
-        counted("moe_for", keys.moe_key)
-        counted("gradient_pairs_for", keys.gradient_key)
-        counted("compute_triples_for", lambda eff: eff)
-        counted("fits_for", _memory_key)
+        real_fits = compiled.fits_for
+        monkeypatch.setattr(compiled, "fits_for", lambda spec, n_ub: (
+            calls["fits_for"].append(_memory_key(spec, n_ub))
+            or real_fits(spec, n_ub)))
         real_grid = vectorized_module.candidate_microbatch_counts
 
         def grid(spec, global_batch):
@@ -317,26 +306,32 @@ class TestProjectionSuite:
         lanes = _lanes(specs, GLOBAL_BATCH, True)
         tuned = [specs[row].with_microbatches(n_ub) for row, n_ub in lanes]
         expected = {
-            "grid": {(spec.dp, spec.pp) for spec in specs},
-            "efficiency_for": set(map(keys.efficiency_key, tuned)),
-            "bubble_prefactor_for": set(map(keys.bubble_key, tuned)),
-            "tp_intra_for": set(map(keys.tp_intra_key, specs)),
-            "tp_inter_for": set(map(keys.tp_inter_key, specs)),
-            "pp_for": set(map(keys.pp_key, specs)),
-            "moe_for": set(map(keys.moe_key, specs)),
-            "gradient_pairs_for": set(map(keys.gradient_key, specs)),
-            "fits_for": {_memory_key(specs[row], n_ub)
-                         for row, n_ub in lanes},
+            "_eff": {key for key in map(keys.efficiency_key, tuned)
+                     if GLOBAL_BATCH >= key[0] * key[1]},
+            "_bubble_prefactor": set(map(keys.bubble_key, tuned)),
+            "_tp_intra": set(map(keys.tp_intra_key, specs)),
+            "_tp_inter": set(map(keys.tp_inter_key, specs)),
+            "_pp": set(map(keys.pp_key, specs)),
+            "_moe": set(map(keys.moe_key, specs)),
         }
         for name, distinct in expected.items():
-            assert len(calls[name]) == len(distinct), name
-            assert set(calls[name]) == distinct, name
-        # Compute triples: once per efficiency key whose microbatch
-        # holds at least one sequence.
-        assert len(calls["compute_triples_for"]) == len(
-            calls["efficiency_for"]) - sum(
-            GLOBAL_BATCH < dp * n_ub for dp, n_ub in
-            expected["efficiency_for"])
+            assert set(getattr(compiled, name)) == distinct, name
+        for grad_table in compiled.grad_tables:
+            assert set(grad_table) == set(map(keys.gradient_key, specs))
+        effs = set(compiled._eff.values())
+        for *_, compute_table in compiled.classes:
+            assert set(compute_table) == effs
+        stats = compiled.stats()
+        assert stats["misses"] == stats["entries"]
+        # Calls outside the hit-rate accounting: one per distinct key.
+        assert sorted(calls["grid"]) == sorted(
+            {(spec.dp, spec.pp) for spec in specs})
+        assert sorted(calls["fits_for"]) == sorted(
+            {_memory_key(specs[row], n_ub) for row, n_ub in lanes})
+
+        BoundBatch(compiled, specs, tune_microbatches=True,
+                   enforce_memory=True)
+        assert compiled.stats() == stats
 
     def test_codes_never_overflow(self):
         """Ranks whose spans would overflow int64 are composed digit by

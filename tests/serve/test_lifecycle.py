@@ -160,7 +160,8 @@ class TestFailureContainment:
         assert len(calls) == 1
         assert [p.status for p in group] == [504, 504, 504]
         assert breaker.describe()["consecutive_failures"] == 1
-        assert counters()["serve.deadline_hits"] == 1.0
+        # One expiry per request answered 504.
+        assert counters()["serve.deadline_hits"] == 3.0
 
     def test_process_batch_starts_no_thread(self, monkeypatch):
         started = []

@@ -205,6 +205,25 @@ class TestOverloadAndDeadlines:
         counters = get_metrics().snapshot()["counters"]
         assert counters["serve.deadline_hits"] >= 1
 
+    def test_overrun_after_the_504_counts_one_deadline_hit(
+            self, daemon_factory):
+        answered = threading.Event()
+
+        def hang(request):
+            answered.wait(30.0)  # set once the handler has answered 504
+            return (200, {})
+
+        config = ServeConfig(port=0, deadline_s=0.3)
+        __, base = daemon_factory(evaluate=hang, config=config)
+        assert http("POST", base, "/v1/estimate", ESTIMATE)[0] == 504
+        answered.set()
+        # The dispatcher answers this only after it has finished the
+        # overrun group, so the count below is final.
+        assert http("POST", base, "/v1/estimate",
+                    dict(ESTIMATE, deadline_s=30.0))[0] == 200
+        counters = get_metrics().snapshot()["counters"]
+        assert counters["serve.deadline_hits"] == 1
+
     def test_client_deadline_overrides_default(self, daemon_factory):
         def hang(request):
             time.sleep(1.0)
