@@ -239,7 +239,7 @@ class AMPeD:
             from repro.search.compiler import compile_sweep
 
             breakdown = compile_sweep(self, global_batch).breakdown(spec)
-            self._emit_estimate_trace(breakdown, spec, global_batch)
+            self.emit_estimate_trace(breakdown, spec, global_batch)
             return breakdown
         eff = self.microbatch_efficiency(global_batch)
         replica_batch = replica_batch_size(global_batch, spec)
@@ -328,14 +328,14 @@ class AMPeD:
                 model=self.bubble_model)
 
         breakdown = TrainingTimeBreakdown(**totals)
-        self._emit_estimate_trace(breakdown, spec, global_batch)
+        self.emit_estimate_trace(breakdown, spec, global_batch)
         return breakdown
 
-    def _emit_estimate_trace(self, breakdown: TrainingTimeBreakdown,
-                             spec: ParallelismSpec,
-                             global_batch: int) -> None:
-        """Emit the per-component span events for one estimate (no-op
-        while tracing is disabled)."""
+    def emit_estimate_trace(self, breakdown: TrainingTimeBreakdown,
+                            spec: ParallelismSpec,
+                            global_batch: int) -> None:
+        """Emit the per-component span events for one estimate of
+        ``spec`` (no-op while tracing is disabled)."""
         tracer = get_tracer()
         if tracer.enabled:
             # The six split degrees + microbatch count are stamped as

@@ -74,7 +74,7 @@ from repro.memory.constraints import fits_in_memory
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
 from repro.parallelism.topology import CollectiveTopology
-from repro.search.tuning import _with_failing_n_ub, candidate_microbatch_counts
+from repro.search.tuning import candidate_microbatch_counts, select_microbatches
 from repro.units import Bits, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
@@ -188,8 +188,9 @@ class CompiledSweep:
         #: hit-rate accounting, since it is no term of Eq. 1.
         self._fits: Dict[tuple, bool] = {}
 
-        # Hit-rate accounting (cache.compiled.* gauges): lookups are
-        # counted per combine in one add; misses at the fill sites.
+        # Hit-rate accounting (cache.compiled.* gauges): a combine
+        # counts its lookups in one add, a batch bind one per distinct
+        # key it reads per table; misses are counted at the fill sites.
         self._lookups = 0
         self._misses = 0
         #: Lookups per combine, as the per-layer walk reads terms: eff +
@@ -564,8 +565,8 @@ class CompiledSweep:
                         candidates: Optional[Iterable[int]] = None
                         ) -> Tuple[ParallelismSpec, float]:
         """Pick the ``N_ub`` minimizing batch time — selection,
-        tie-breaking and failure semantics identical to
-        :func:`repro.search.tuning.optimize_microbatches`."""
+        tie-breaking and failure semantics of
+        :func:`repro.search.tuning.select_microbatches`."""
         return self.tune(spec, candidates)[:2]
 
     def tune(self, spec: ParallelismSpec,
@@ -573,37 +574,17 @@ class CompiledSweep:
              ) -> Tuple[ParallelismSpec, float, tuple]:
         """:meth:`best_microbatch`, plus the winner's component totals
         (one combine per tried ``N_ub``, none after)."""
-        if candidates is None:
-            candidates = candidate_microbatch_counts(spec,
-                                                     self.global_batch)
-        best: Optional[Tuple[ParallelismSpec, float, tuple]] = None
-        last_error = None
-        last_n_ub: Optional[int] = None
         terms = None
-        for n_ub in candidates:
-            tuned = spec.with_microbatches(n_ub)
-            try:
-                totals, batch_time = self._evaluate(tuned, terms)
-            except MappingError as error:
-                last_error, last_n_ub = error, n_ub
-                continue
+
+        def evaluate(tuned: ParallelismSpec) -> Tuple[float, tuple]:
+            nonlocal terms
+            totals, batch_time = self._evaluate(tuned, terms)
             if terms is None:  # filled now, and no N_ub changes them
                 terms = self.mapping_terms(spec)
-            if not math.isfinite(batch_time):
-                last_error = MappingError(
-                    f"batch time is non-finite ({batch_time!r})")
-                last_n_ub = n_ub
-                continue
-            if best is None or batch_time < best[1]:
-                best = (tuned, batch_time, totals)
-        if best is None:
-            if last_error is None:
-                raise MappingError(
-                    f"no feasible microbatch count for batch "
-                    f"{self.global_batch} under {spec.describe()}")
-            raise _with_failing_n_ub(last_error, last_n_ub) \
-                from last_error
-        return best
+            return batch_time, totals
+
+        return select_microbatches(spec, self.global_batch, candidates,
+                                   evaluate)
 
     def lower_bound(self, spec: ParallelismSpec,
                     tune_microbatches: bool = True) -> float:

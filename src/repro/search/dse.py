@@ -30,6 +30,11 @@ a journal, so both run one chunk loop and rank alike; the memory
 screen (``enforce_memory``) is one more lane mask of the array
 program.  Every sweep runs in one process: a worker pool lost to
 in-process evaluation at every size measured (``docs/performance.md``).
+
+:func:`evaluate_candidate` evaluates one candidate at a time (a serve
+request, a candidate the arrays leave to it) with one body for both
+paths: the path picks only how ``N_ub`` is tuned and how the breakdown
+is produced, and tracing records the evaluation without choosing it.
 """
 
 from __future__ import annotations
@@ -52,12 +57,15 @@ from repro.errors import (
     MemoryCapacityError,
     require_finite_fields,
 )
-from repro.memory.constraints import fits_in_memory
-from repro.obs.trace import get_tracer, span
+from repro.obs.trace import span
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.compiler import compile_sweep
-from repro.search.tuning import microbatch_candidates, optimize_microbatches
+from repro.search.tuning import (
+    candidate_microbatch_counts,
+    microbatch_candidates,
+    optimize_microbatches,
+)
 
 
 #: Skip-category vocabulary shared by the explorer, the resilient sweep
@@ -205,115 +213,55 @@ def evaluate_candidate(template: AMPeD, spec: ParallelismSpec,
     itself is validated first, outside that categorization: with the
     template's ``validate`` on, a spec that cannot tile the system, or
     that the model cannot honor, raises
-    :class:`~repro.errors.MappingError` on both routes (``run_sweep``
-    records it as a ``mapping_infeasible`` skip).  Genuine programming
-    errors still propagate.
+    :class:`~repro.errors.MappingError` (``run_sweep`` records it as a
+    ``mapping_infeasible`` skip).  Genuine programming errors still
+    propagate.
 
-    Compiled templates take a fast route through the sweep compiler's
-    term tables that never constructs a per-candidate :class:`AMPeD`;
-    it replicates this function's validation order, skip categories and
-    detail strings exactly.  While tracing is enabled the generic route
-    runs instead, so compiled sweeps emit the same per-estimate spans.
-    """
-    if (template.evaluation_path == "compiled"
-            and not get_tracer().enabled):
-        return _evaluate_candidate_compiled(
-            template, spec, global_batch, tune_microbatches,
-            enforce_memory)
-    candidate = replace(template, parallelism=spec)
-    needs_memory_check = enforce_memory
-    try:
-        if tune_microbatches:
-            candidates = None
-            if enforce_memory:
-                candidates = _memory_feasible_candidates(
-                    candidate, global_batch)
-                if not candidates:
-                    return CandidateOutcome(
-                        spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                        detail=NO_MICROBATCH_FITS)
-                # Every candidate already passed fits_in_memory, and the
-                # tuned spec is one of them — no re-check needed.
-                needs_memory_check = False
-            candidate, _ = optimize_microbatches(
-                candidate, global_batch, candidates=candidates)
-        microbatch = candidate.microbatch(global_batch)
-        if needs_memory_check and not fits_in_memory(
-                candidate.model, candidate.parallelism, microbatch,
-                candidate.precision, candidate.system.accelerator,
-                candidate.zero):
-            return CandidateOutcome(
-                spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                detail=f"microbatch {microbatch:g} does not fit in HBM")
-        breakdown = candidate.estimate_batch(global_batch)
-    except MemoryCapacityError as error:
-        return CandidateOutcome(spec=spec,
-                                skip_category=SKIP_MEMORY_CAPACITY,
-                                detail=str(error))
-    except MappingError as error:
-        return CandidateOutcome(spec=spec,
-                                skip_category=SKIP_MAPPING_INFEASIBLE,
-                                detail=str(error))
-    if not math.isfinite(breakdown.total):
-        return CandidateOutcome(
-            spec=spec, skip_category=SKIP_NON_FINITE,
-            detail=f"batch time is {breakdown.total!r}")
-    return CandidateOutcome(spec=spec, result=ExplorationResult(
-        parallelism=candidate.parallelism,
-        global_batch=global_batch,
-        batch_time_s=breakdown.total,
-        breakdown=breakdown,
-        microbatch_size=microbatch,
-        microbatch_efficiency=candidate.microbatch_efficiency(global_batch),
-    ))
-
-
-def _evaluate_candidate_compiled(template: AMPeD, spec: ParallelismSpec,
-                                 global_batch: int,
-                                 tune_microbatches: bool,
-                                 enforce_memory: bool
-                                 ) -> CandidateOutcome:
-    """:func:`evaluate_candidate`'s fast route for compiled templates.
-
-    Candidate evaluation through the sweep compiler's term tables: no
-    per-candidate :class:`AMPeD` construction, no re-walk of Eq. 1.
-    Mirrors the generic route statement for statement — the same spec
-    validation outside the ``try`` (so a mapping that cannot tile the
-    system raises, exactly like ``replace(template, parallelism=spec)``
-    does there), the same skip categories and detail strings, and
-    bit-identical batch times.
+    The evaluation path picks only how ``N_ub`` is tuned and how the
+    breakdown is produced: from the sweep compiler's term tables, with
+    no per-candidate :class:`AMPeD` (``"compiled"``), or by
+    :meth:`AMPeD.estimate_batch`'s per-layer walk, the Eq. 1 oracle.
+    Both screen memory with
+    :meth:`~repro.search.compiler.CompiledSweep.fits_for`.  A traced
+    compiled call emits one ``model.estimate_batch`` event, for the
+    breakdown it evaluates.
     """
     compiled = compile_sweep(template, global_batch)
     if template.validate:
         spec.validate_against(template.system)
         spec.validate_against_model(template.model.n_layers,
                                     template.model.n_heads)
-    needs_memory_check = enforce_memory
+    per_layer = template.evaluation_path == "per_layer"
+    candidate = replace(template, parallelism=spec) if per_layer else None
     tuned, totals = spec, None
     try:
         if tune_microbatches:
             candidates = None
             if enforce_memory:
-                # The memory screen is the one stage that still needs a
-                # full candidate (fits_in_memory reads the scenario);
-                # enforce_memory sweeps pay one construction here.
-                candidates = _memory_feasible_candidates(
-                    replace(template, parallelism=spec), global_batch)
+                candidates = [n_ub for n_ub in candidate_microbatch_counts(
+                    spec, global_batch) if compiled.fits_for(spec, n_ub)]
                 if not candidates:
                     return CandidateOutcome(
                         spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
                         detail=NO_MICROBATCH_FITS)
-                needs_memory_check = False
-            tuned, _, totals = compiled.tune(spec, candidates)
+            # The winner is one of the screened N_ub: no re-check below.
+            if per_layer:
+                candidate, _ = optimize_microbatches(
+                    candidate, global_batch, candidates=candidates)
+                tuned = candidate.parallelism
+            else:
+                tuned, _, totals = compiled.tune(spec, candidates)
         microbatch = microbatch_size(global_batch, tuned)
-        if needs_memory_check and not fits_in_memory(
-                template.model, tuned, microbatch,
-                template.precision, template.system.accelerator,
-                template.zero):
+        if (enforce_memory and not tune_microbatches
+                and not compiled.fits_for(tuned, tuned.microbatches)):
             return CandidateOutcome(
                 spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
                 detail=f"microbatch {microbatch:g} does not fit in HBM")
-        breakdown = compiled.breakdown(tuned, totals)
+        if per_layer:
+            breakdown = candidate.estimate_batch(global_batch)
+        else:
+            breakdown = compiled.breakdown(tuned, totals)
+            template.emit_estimate_trace(breakdown, tuned, global_batch)
     except MemoryCapacityError as error:
         return CandidateOutcome(spec=spec,
                                 skip_category=SKIP_MEMORY_CAPACITY,
@@ -380,22 +328,6 @@ def compute_lower_bound(amped: AMPeD, global_batch: int,
                                  best_eff,
                                  amped.optimizer_macs_per_parameter))
     return total / spec.world_size
-
-
-def _memory_feasible_candidates(candidate: AMPeD,
-                                global_batch: int) -> list:
-    """Microbatch counts whose resulting microbatch size fits in HBM."""
-    feasible = []
-    for n_ub in microbatch_candidates(candidate, global_batch):
-        spec = candidate.parallelism.with_microbatches(n_ub)
-        microbatch = global_batch / (spec.dp * n_ub)
-        if microbatch < 1:
-            continue
-        if fits_in_memory(candidate.model, spec, microbatch,
-                          candidate.precision,
-                          candidate.system.accelerator, candidate.zero):
-            feasible.append(n_ub)
-    return feasible
 
 
 def best_mapping(amped: AMPeD, global_batch: int,

@@ -6,8 +6,9 @@ The paper tunes the number of microbatches per batch to the machine
 pipeline-bubble share ``(N_PP - 1)/N_ub`` (favoring many microbatches)
 against microbatch efficiency ``eff(b_replica / N_ub)`` (favoring few),
 so the optimum depends on the efficiency fit and the mapping.
-:func:`optimize_microbatches` searches the trade-off exhaustively over
-a geometric candidate grid.
+:func:`select_microbatches` searches the trade-off exhaustively over
+a geometric candidate grid, for :func:`optimize_microbatches` and
+:meth:`~repro.search.compiler.CompiledSweep.tune` alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.model import AMPeD
 from repro.errors import MappingError, MemoryCapacityError, ReproError
@@ -60,25 +61,42 @@ def _candidate_grid(replica_batch: int, lowest: int) -> Tuple[int, ...]:
 def optimize_microbatches(amped: AMPeD, global_batch: int,
                           candidates: Optional[Iterable[int]] = None
                           ) -> Tuple[AMPeD, float]:
-    """Pick the ``N_ub`` minimizing the per-batch time.
+    """Pick the ``N_ub`` minimizing ``amped``'s per-batch time
+    (:func:`select_microbatches`); returns the re-tuned model and its
+    per-batch time."""
+    def estimate(spec: ParallelismSpec) -> Tuple[float, AMPeD]:
+        tuned = replace(amped, parallelism=spec)
+        return tuned.estimate_batch(global_batch).total, tuned
 
-    Returns the re-tuned model and its per-batch time.  Candidates that
-    produce an infeasible microbatch (below one sequence), that blow
-    the memory budget (:class:`MemoryCapacityError`), or whose estimate
-    comes back non-finite are skipped; if every candidate fails, the
-    last failure is re-raised with the same type and the failing
-    ``N_ub`` named in the message.
+    _, batch_time, tuned = select_microbatches(
+        amped.parallelism, global_batch, candidates, estimate)
+    return tuned, batch_time
+
+
+def select_microbatches(spec: ParallelismSpec, global_batch: int,
+                        candidates: Optional[Iterable[int]],
+                        evaluate: Callable[[ParallelismSpec],
+                                           Tuple[float, Any]]
+                        ) -> Tuple[ParallelismSpec, float, Any]:
+    """The ``N_ub`` selection loop of every tuner: ``evaluate(tuned)``
+    gives ``(batch time, payload)`` for ``spec`` at each count of
+    ``candidates`` (default :func:`candidate_microbatch_counts`), and
+    the fastest comes back as ``(tuned, batch time, payload)``, the
+    earliest on ties.  Candidates that produce an infeasible microbatch
+    (below one sequence), that blow the memory budget
+    (:class:`MemoryCapacityError`), or whose batch time comes back
+    non-finite are skipped; if every candidate fails, the last failure
+    is re-raised with the same type and the failing ``N_ub`` named.
     """
     if candidates is None:
-        candidates = microbatch_candidates(amped, global_batch)
-    best: Optional[Tuple[AMPeD, float]] = None
+        candidates = candidate_microbatch_counts(spec, global_batch)
+    best: Optional[Tuple[ParallelismSpec, float, Any]] = None
     last_error: Optional[ReproError] = None
     last_n_ub: Optional[int] = None
     for n_ub in candidates:
-        tuned = replace(
-            amped, parallelism=amped.parallelism.with_microbatches(n_ub))
+        tuned = spec.with_microbatches(n_ub)
         try:
-            batch_time = tuned.estimate_batch(global_batch).total
+            batch_time, payload = evaluate(tuned)
         except (MappingError, MemoryCapacityError) as error:
             last_error, last_n_ub = error, n_ub
             continue
@@ -91,12 +109,12 @@ def optimize_microbatches(amped: AMPeD, global_batch: int,
             last_n_ub = n_ub
             continue
         if best is None or batch_time < best[1]:
-            best = (tuned, batch_time)
+            best = (tuned, batch_time, payload)
     if best is None:
         if last_error is None:
             raise MappingError(
                 f"no feasible microbatch count for batch {global_batch} "
-                f"under {amped.parallelism.describe()}")
+                f"under {spec.describe()}")
         raise _with_failing_n_ub(last_error, last_n_ub) from last_error
     return best
 

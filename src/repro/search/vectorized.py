@@ -150,8 +150,10 @@ def threshold_info() -> Dict[str, object]:
 
 _STATS: Dict[str, float] = dict.fromkeys(VECTORIZED_STATS, 0)
 
-#: Serve handler threads build batches concurrently with the metrics
-#: endpoint reading the totals; every _STATS access goes through this.
+#: A bind updates the totals on whichever thread runs the sweep (a
+#: library caller may sweep on several), while a metrics snapshot
+#: (``collect_cache_metrics``, e.g. a ``/metrics`` handler thread) copies
+#: them from another; every _STATS access goes through this.
 _STATS_LOCK = threading.Lock()
 
 
@@ -311,6 +313,10 @@ class BoundBatch:
             except MappingError:
                 effs.append(None)
         self._eff_ok = np.array([eff is not None for eff in effs], bool)
+        # Hit-rate accounting: every feasible eff(ub) key is one lookup
+        # of its own table and one of each class's compute table.
+        compiled._lookups += int(self._eff_ok.sum()) * (
+            1 + len(compiled.classes))
         self._eff_vals = np.array(  # 1.0: a placeholder, masked by _eff_ok
             [1.0 if eff is None else eff for eff in effs], dtype=np.float64)
 
@@ -513,6 +519,7 @@ def _fill(compiled: CompiledSweep, tables: List[dict], term, *columns,
     topology raised :class:`MappingError` reads NaN and stays out, like
     a scalar fill that raised, so its lanes fall back to that path."""
     keys = list(zip(*(column.tolist() for column in columns)))
+    compiled._lookups += len(keys) * len(tables)
     values = np.empty((len(keys), len(tables), width))
     head = tables[0]
     missing = [i for i, key in enumerate(keys) if key not in head]

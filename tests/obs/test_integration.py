@@ -7,22 +7,32 @@
   controls the default output.
 - Sweep journals carry a metrics record whose counters accumulate
   across a resumed run.
+- Tracing changes no result: a traced candidate evaluation returns the
+  untraced outcome and emits one ``model.estimate_batch`` event per
+  evaluated candidate, and a traced ``amped sweep`` prints the untraced
+  ranking.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.core.model import AMPeD
-from repro.hardware.catalog import megatron_a100_cluster
+from repro.hardware.catalog import A100, megatron_a100_cluster
+from repro.hardware.interconnect import IB_HDR, NVLINK3
+from repro.hardware.node import NodeSpec
+from repro.hardware.system import SystemSpec
 from repro.obs.__main__ import main as validate_main
 from repro.obs.export import span_tree, validate_chrome_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
+from repro.parallelism.mapping import enumerate_mappings
 from repro.parallelism.microbatch import CASE_STUDY_EFFICIENCY
+from repro.search.dse import evaluate_candidate
 from repro.search.resilience import SweepJournal, run_sweep
-from repro.transformer.zoo import MEGATRON_1T
+from repro.transformer.zoo import MEGATRON_1T, MODELS
 
 
 class TestTracedMegatron1T:
@@ -56,6 +66,77 @@ class TestTracedMegatron1T:
         tracks = {r.track for r in tracer.records()
                   if r.name == "model.estimate_batch"}
         assert len(tracks) == 2
+
+
+def _estimate_events(records):
+    """The ``model.estimate_batch`` roots of a trace, as span trees."""
+    return [root for root in span_tree(records)
+            if root["name"] == "model.estimate_batch"]
+
+
+def _event_content(event):
+    """What an estimate event says: its duration, its attrs and its
+    ``term.*`` children (not where it sits on the timeline)."""
+    return (event["duration_s"], event["attrs"],
+            [(child["name"], child["duration_s"])
+             for child in event["children"]])
+
+
+class TestTracedCandidateEvaluation:
+    """Tracing records the compiled route's evaluation; it never picks
+    the code path."""
+
+    @pytest.fixture(scope="class")
+    def template(self):
+        # 16 GPUs: the memory screen skips about half of Megatron-18B's
+        # tuned mappings and all of its untuned ones.
+        node = NodeSpec(accelerator=A100, n_accelerators=4,
+                        intra_link=NVLINK3, inter_link=IB_HDR, n_nics=4)
+        system = SystemSpec(node=node, n_nodes=4)
+        return AMPeD.for_mapping(MODELS["megatron-18b"], system,
+                                 dp=system.n_accelerators)
+
+    @pytest.mark.parametrize("enforce_memory", [False, True])
+    @pytest.mark.parametrize("tune", [True, False])
+    def test_traced_outcome_equals_untraced(self, template, tune,
+                                            enforce_memory):
+        mappings = enumerate_mappings(template.system, template.model)
+        untraced = [evaluate_candidate(template, spec, 256, tune,
+                                       enforce_memory)
+                    for spec in mappings]
+        tracer = get_tracer()
+        tracer.enable(reset=True)
+        try:
+            traced = [evaluate_candidate(template, spec, 256, tune,
+                                         enforce_memory)
+                      for spec in mappings]
+        finally:
+            tracer.disable()
+        assert traced == untraced
+        events = _estimate_events(tracer.records())
+        evaluated = [outcome.result for outcome in traced
+                     if outcome.evaluated]
+        # One event per evaluated candidate, for the breakdown it kept.
+        assert [(event["attrs"]["mapping"], event["duration_s"])
+                for event in events] \
+            == [(result.parallelism.describe(), result.batch_time_s)
+                for result in evaluated]
+
+    def test_untuned_event_is_the_estimate_batch_event(self, template):
+        tracer = get_tracer()
+        for spec in enumerate_mappings(template.system,
+                                       template.model)[:6]:
+            tracer.enable(reset=True)
+            try:
+                evaluate_candidate(template, spec, 256,
+                                   tune_microbatches=False)
+                (event,) = _estimate_events(tracer.records())
+                tracer.enable(reset=True)
+                replace(template, parallelism=spec).estimate_batch(256)
+                (reference,) = _estimate_events(tracer.records())
+            finally:
+                tracer.disable()
+            assert _event_content(event) == _event_content(reference)
 
 
 class TestCliFlags:
@@ -112,6 +193,19 @@ class TestCliFlags:
         assert exit_code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+
+    def test_traced_sweep_prints_the_untraced_output(self, tmp_path,
+                                                     capsys):
+        sweep = ["sweep", "--nodes", "2", "--model", "mingpt-85m",
+                 "--batch", "256", "--top", "3"]
+        assert main(sweep) == 0
+        untraced = capsys.readouterr().out
+        trace_path = tmp_path / "trace.json"
+        assert main(sweep + ["--trace", str(trace_path)]) == 0
+        traced = capsys.readouterr().out
+        assert traced.replace(f"wrote trace to {trace_path}\n", "") \
+            == untraced
+        assert "batch time" in untraced
 
     def test_sweep_reports_journal_cumulative(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"

@@ -72,21 +72,29 @@ def test_compiled_matches_per_layer(model_key, zero, zero_explicit,
     _assert_close(compiled, reference, model_key)
 
 
+@pytest.mark.parametrize("enforce_memory", [False, True],
+                         ids=["no-screen", "memory-screen"])
+@pytest.mark.parametrize("tune", [True, False], ids=["tuned", "untuned"])
 @pytest.mark.parametrize("model_key", sorted(MODELS))
-def test_sweep_outcomes_identical_across_paths(model_key, system):
+def test_sweep_outcomes_identical_across_paths(model_key, tune,
+                                               enforce_memory, system):
     """Per-candidate fates (evaluated / skip category / detail) agree
-    between the compiled route and the generic per-layer route across
-    every legal mapping of the fixture system."""
+    between the compiled route and the per-layer route across every
+    legal mapping of the fixture system, with and without microbatch
+    tuning and the memory screen (which the 16-GPU fixture trips for
+    the large zoo models)."""
     template = AMPeD.for_mapping(MODELS[model_key], system,
                                  dp=system.n_accelerators)
     mappings = enumerate_mappings(system, MODELS[model_key])
     for spec in mappings:
         compiled = evaluate_candidate(
             replace(template, evaluation_path="compiled"), spec,
-            GLOBAL_BATCH)
+            GLOBAL_BATCH, tune_microbatches=tune,
+            enforce_memory=enforce_memory)
         reference = evaluate_candidate(
             replace(template, evaluation_path="per_layer"), spec,
-            GLOBAL_BATCH)
+            GLOBAL_BATCH, tune_microbatches=tune,
+            enforce_memory=enforce_memory)
         assert compiled.skip_category == reference.skip_category, (
             f"{model_key}/{spec.describe()}")
         assert compiled.detail == reference.detail

@@ -207,6 +207,28 @@ class TestTables:
         assert second["misses"] == first["misses"]
         assert second["entries"] == first["entries"]
 
+    def test_binds_count_their_lookups(self, template, system):
+        """hits = lookups - misses holds on the array backend too: a
+        second bind of the same specs misses nothing and hits every
+        distinct key it reads."""
+        from repro.search.vectorized import BoundBatch
+        compiled = CompiledSweep(template, GLOBAL_BATCH)
+        specs = enumerate_mappings(system, template.model)
+        BoundBatch(compiled, specs, tune_microbatches=True)
+        first = compiled.stats()
+        assert first["lookups"] >= first["misses"] > 0
+        BoundBatch(compiled, specs, tune_microbatches=True)
+        second = compiled.stats()
+        assert second["misses"] == first["misses"]
+        assert second["hits"] > first["hits"]
+        assert second["hits"] - first["hits"] \
+            == second["lookups"] - first["lookups"]
+
+    def test_default_sweep_reports_table_hits(self, template):
+        from repro.search.resilience import run_sweep
+        run_sweep(template, GLOBAL_BATCH)
+        assert compiled_cache_stats()["table_hits"] > 0
+
 
 class TestEnvironment:
     """The fills read the links of the environment estimate_batch

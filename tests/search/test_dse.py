@@ -135,24 +135,31 @@ class TestPruning:
 
 
 class TestMemoryCheckDedup:
+    @pytest.mark.parametrize("path", ["compiled", "per_layer"])
     def test_tuned_candidates_skip_recheck(self, template, small_system,
-                                           monkeypatch):
-        import repro.search.dse as dse_module
+                                           monkeypatch, path):
+        from dataclasses import replace
+
         from repro.parallelism.mapping import enumerate_mappings
+        from repro.search.compiler import CompiledSweep
+        from repro.search.tuning import candidate_microbatch_counts
         calls = []
-        monkeypatch.setattr(dse_module, "_memory_feasible_candidates",
-                            lambda candidate, global_batch: [4])
-        monkeypatch.setattr(
-            dse_module, "fits_in_memory",
-            lambda *args, **kwargs: calls.append(args) or True)
-        results = [
-            evaluate_candidate(template, spec, 64,
-                               enforce_memory=True).result
-            for spec in enumerate_mappings(small_system, template.model)]
+
+        def screen(self, spec, n_ub):
+            calls.append((spec, n_ub))
+            return n_ub == 4
+
+        monkeypatch.setattr(CompiledSweep, "fits_for", screen)
+        template = replace(template, evaluation_path=path)
+        mappings = enumerate_mappings(small_system, template.model)
+        results = [evaluate_candidate(template, spec, 64,
+                                      enforce_memory=True).result
+                   for spec in mappings]
         assert any(results)  # candidates still evaluated
-        # every candidate list came pre-screened, so the per-result
-        # fits_in_memory re-check must never run
-        assert calls == []
+        # Each candidate's N_ub grid is screened once, up front; the
+        # tuned winner came from that list, so it is never re-screened.
+        assert calls == [(spec, n_ub) for spec in mappings
+                         for n_ub in candidate_microbatch_counts(spec, 64)]
 
 
 class TestEvaluateCandidateValidation:
