@@ -27,14 +27,16 @@ themselves:
 
 Every sweep runs in this process through one chunk loop, which
 :func:`~repro.search.dse.explore` shares.  Each chunk gets its pruner
-bounds, and its candidate outcomes as one array program (the memory
+bounds and batch times as columns of one array program (the memory
 screen is a lane mask there), from
-:func:`~repro.search.vectorized.evaluate_chunk`; whatever the arrays
-leave undecided, and every candidate of a ``per_layer`` or custom
-``evaluate`` sweep, is evaluated one by one; those two ask the arrays
-for bounds only, and skip them when nothing prunes.  Coverage
-accounting is surfaced as a :class:`~repro.reporting.sweep.SweepReport`;
-``docs/robustness.md`` documents the journal schema.
+:func:`~repro.search.vectorized.evaluate_chunk`, and a result object
+is built only for a mapping the top-k still holds at chunk end;
+whatever the arrays leave undecided, and every candidate of a
+``per_layer`` or custom ``evaluate`` sweep, is evaluated one by one;
+those two ask the arrays for bounds only, and skip them when nothing
+prunes.  Coverage accounting is surfaced as a
+:class:`~repro.reporting.sweep.SweepReport`; ``docs/robustness.md``
+documents the journal schema.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from __future__ import annotations
 import bisect
 import json
 import logging
-import math
 import signal
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from itertools import count
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -77,7 +79,11 @@ from repro.search.dse import (
     evaluate_candidate,
     validate_max_results,
 )
-from repro.search.vectorized import DEFAULT_CHUNK_CANDIDATES, evaluate_chunk
+from repro.search.vectorized import (
+    DEFAULT_CHUNK_CANDIDATES,
+    ChunkOutcomes,
+    evaluate_chunk,
+)
 
 _LOG = logging.getLogger("repro.search.resilience")
 
@@ -332,38 +338,6 @@ def _sigint_trap():
 # ---------------------------------------------------------------------------
 
 
-class _BoundPruner:
-    """Branch-and-bound incumbents shared across one :func:`run_sweep`.
-
-    Tracks the ``keep`` smallest batch times seen so far; a mapping is
-    skipped when its lower bound strictly exceeds the incumbent
-    ``keep``-th best, which proves it cannot appear in the final
-    truncated ranking.  The bound is
-    :meth:`~repro.search.compiler.CompiledSweep.lower_bound` (batched
-    as :meth:`~repro.search.vectorized.BoundBatch.lower_bounds`) —
-    compute at the best reachable efficiency *plus* the mapping's exact
-    communication terms, used for every evaluation path so skip
-    counters stay path-independent.
-    """
-
-    def __init__(self, keep: int) -> None:
-        self.keep = keep
-        self._best_times: List[float] = []
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The incumbent ``keep``-th best time, or ``None`` while the
-        incumbent list is not full yet (distinct from an *infinite*
-        bound, which would mean a provably infeasible candidate)."""
-        if len(self._best_times) < self.keep:
-            return None
-        return self._best_times[self.keep - 1]
-
-    def record(self, result: ExplorationResult) -> None:
-        bisect.insort(self._best_times, result.batch_time_s)
-        del self._best_times[self.keep:]
-
-
 @dataclass
 class SweepOutcome:
     """Ranked results plus the coverage ledger of one resilient sweep."""
@@ -403,8 +377,13 @@ def run_sweep(template: AMPeD, global_batch: int,
 
     Ranking semantics match :func:`repro.search.dse.explore` exactly
     (same submission order, same branch-and-bound pruning, same
-    fastest-first truncation to ``max_results``); the additional
-    parameters control persistence and failure handling:
+    fastest-first truncation to ``max_results``, ties in arrival
+    order, journal-resumed results first).  A default sweep ranks each
+    chunk's columns and builds an
+    :class:`~repro.search.dse.ExplorationResult` only for a mapping
+    its top-k keeps, or for every evaluated candidate when it journals
+    or keeps every result.  The additional parameters control
+    persistence and failure handling:
 
     Parameters
     ----------
@@ -466,28 +445,41 @@ def run_sweep(template: AMPeD, global_batch: int,
     report = SweepReport(
         n_candidates=len(mappings),
         journal_path=str(journal.path) if journal else None)
-    results: List[ExplorationResult] = []
     # The compiled term tables back the pruner's compute+communication
     # lower bound on every evaluation path (keeping skip counters
     # path-independent).
     compiled: Optional[CompiledSweep] = None
     if prune or template.evaluation_path != "per_layer":
         compiled = compile_sweep(template, global_batch)
-    # Without a top-k there is no threshold to compare bounds against.
-    pruner = (_BoundPruner(max_results)
-              if prune and max_results is not None else None)
+    # The ranking: sorted (batch time, arrival, payload) entries, cut to
+    # max_results (without one, kept whole and sorted at the end).
+    # Arrival order breaks ties, as a stable sort by time does.  A
+    # payload is a result or, until its chunk ends, a chunk index.
+    top: List[tuple] = []
+    arrivals = count()
+    # Branch and bound: a mapping whose lower bound exceeds the k-th
+    # best time cannot enter the top-k.
+    prune_at = max_results if prune else None
+    # Journal records and an uncut ranking need every result anyway.
+    prebuilt = journal is not None or max_results is None
+
+    def rank(batch_time: float, payload) -> None:
+        entry = (batch_time, next(arrivals), payload)
+        if max_results is None:
+            top.append(entry)
+        else:
+            bisect.insort(top, entry)
+            del top[max_results:]
 
     # Replay the journal: finished candidates are restored, never
-    # re-evaluated, and feed the pruner's incumbents so the resumed
-    # branch-and-bound stays exact.
+    # re-evaluated, and rank first, so the resumed branch-and-bound and
+    # tie order stay exact.
     done = journal.done if journal else {}
     try:
         for record in done.values():
             if record["status"] == "evaluated":
                 result = _result_from_record(record, global_batch)
-                results.append(result)
-                if pruner is not None:
-                    pruner.record(result)
+                rank(result.batch_time_s, result)
                 report.resumed += 1
             else:
                 report.record_skip(record["category"])
@@ -516,20 +508,18 @@ def run_sweep(template: AMPeD, global_batch: int,
     heartbeat = metrics.gauge("sweep.heartbeat_monotonic_s")
     chunk_seconds = metrics.histogram("sweep.chunk_seconds")
 
-    def absorb(outcome: CandidateOutcome) -> None:
-        heartbeat.set(time.monotonic())
+    def settle(spec: ParallelismSpec,
+               result: Optional[ExplorationResult] = None,
+               category: Optional[str] = None, detail: str = "") -> None:
+        """Journal and count one candidate's fate, ranking a result."""
         if journal is not None:
-            journal.record(spec_key(outcome.spec), outcome)
-        if outcome.evaluated:
-            report.evaluated += 1
-            metrics.counter("sweep.evaluated").inc()
-            results.append(outcome.result)
-            if pruner is not None:
-                pruner.record(outcome.result)
+            journal.record(spec_key(spec), CandidateOutcome(
+                spec, result, category, detail))
+        if result is None:
+            report.record_skip(category)
         else:
-            report.record_skip(outcome.skip_category)
-            metrics.counter(
-                f"sweep.skipped.{outcome.skip_category}").inc()
+            report.evaluated += 1
+            rank(result.batch_time_s, result)
 
     def evaluate_one(spec: ParallelismSpec) -> CandidateOutcome:
         started = time.perf_counter()
@@ -558,6 +548,57 @@ def run_sweep(template: AMPeD, global_batch: int,
         finally:
             metrics.histogram("sweep.candidate_seconds").observe(
                 time.perf_counter() - started)
+            heartbeat.set(time.monotonic())
+
+    def walk(chunk: List[ParallelismSpec], fates: ChunkOutcomes) -> int:
+        """Settle a chunk's candidates in order, until a SIGINT, and
+        return how many the scalar route evaluated.  The threshold is
+        re-read per candidate, as each ranked result tightens it, so the
+        skip categories are exactly those of a one-by-one sweep."""
+        nonlocal interrupted
+        bounds, times, memory = fates.bounds, fates.times, fates.memory
+        built = {}
+        if prebuilt:
+            decided = [index for index, batch_time in enumerate(times)
+                       if batch_time == batch_time]
+            built = dict(zip(decided, fates.results(decided)))
+        fallbacks = 0
+        for index, spec in enumerate(chunk):
+            if cancelled():
+                interrupted = True
+                break
+            if prune_at is not None and len(top) >= prune_at:
+                bound = bounds[index]
+                if bound != bound:  # NaN
+                    settle(spec, None, SKIP_MAPPING_INFEASIBLE,
+                           "no feasible microbatch count")
+                    continue
+                if bound > top[-1][0]:
+                    settle(spec, None, SKIP_PRUNED,
+                           "lower bound exceeds the incumbent top-k")
+                    continue
+            batch_time = times[index]
+            if index in built:
+                settle(spec, built[index])
+            elif batch_time == batch_time:  # decided, built at chunk end
+                report.evaluated += 1
+                rank(batch_time, index)
+            elif index in memory:
+                settle(spec, None, SKIP_MEMORY_CAPACITY, memory[index])
+            else:
+                fallbacks += 1
+                outcome = evaluate_one(spec)
+                settle(spec, outcome.result, outcome.skip_category,
+                       outcome.detail)
+        return fallbacks
+
+    def materialize(fates: ChunkOutcomes) -> None:
+        """Build the results of the chunk's candidates still ranked."""
+        slots = [] if prebuilt else [slot for slot, entry in enumerate(top)
+                                     if type(entry[2]) is int]
+        for slot, result in zip(slots, fates.results(
+                [top[slot][2] for slot in slots])):
+            top[slot] = top[slot][:2] + (result,)
 
     interrupted = False
     cumulative: Optional[dict] = None
@@ -573,50 +614,35 @@ def run_sweep(template: AMPeD, global_batch: int,
                     break
                 chunk = pending[start:start + DEFAULT_CHUNK_CANDIDATES]
                 chunk_started = time.perf_counter()
-                with span("dse.vectorized_eval", category="search",
-                          attrs={"offset": start,
-                                 "n_candidates": len(chunk),
-                                 "tune_microbatches":
-                                     tune_microbatches}) as live:
-                    if chunk_decides or pruner is not None:
-                        bounds, outcomes = evaluate_chunk(
-                            chunk_template, compiled, chunk,
-                            global_batch, tune_microbatches,
-                            need_bounds=pruner is not None,
-                            enforce_memory=enforce_memory)
-                    else:
-                        bounds, outcomes = None, [None] * len(chunk)
-                    fallbacks = 0
-                    # Serial-order walk: the pruner threshold is re-read
-                    # per candidate because absorb() tightens it, so
-                    # the incumbent dynamics (and hence the exact skip
-                    # categories) are those of a one-by-one sweep.
-                    for index, spec in enumerate(chunk):
-                        if cancelled():
-                            interrupted = True
-                            break
-                        threshold = (pruner.threshold
-                                     if pruner is not None else None)
-                        if threshold is not None:
-                            bound = bounds[index]
-                            if math.isnan(bound):
-                                absorb(CandidateOutcome(
-                                    spec=spec,
-                                    skip_category=SKIP_MAPPING_INFEASIBLE,
-                                    detail="no feasible microbatch count"))
-                                continue
-                            if bound > threshold:
-                                absorb(CandidateOutcome(
-                                    spec=spec, skip_category=SKIP_PRUNED,
-                                    detail=("lower bound exceeds the "
-                                            "incumbent top-k")))
-                                continue
-                        outcome = outcomes[index]
-                        if outcome is None:
-                            fallbacks += 1
-                            outcome = evaluate_one(spec)
-                        absorb(outcome)
-                    live.set_attrs(scalar_fallbacks=fallbacks)
+                counted = report.evaluated, dict(report.skipped)
+                try:
+                    with span("dse.vectorized_eval", category="search",
+                              attrs={"offset": start,
+                                     "n_candidates": len(chunk),
+                                     "tune_microbatches":
+                                         tune_microbatches}) as live:
+                        if chunk_decides or prune_at is not None:
+                            fates = evaluate_chunk(
+                                chunk_template, compiled, chunk,
+                                global_batch, tune_microbatches,
+                                need_bounds=prune_at is not None,
+                                enforce_memory=enforce_memory)
+                        else:
+                            fates = ChunkOutcomes(len(chunk))
+                        with span("sweep.walk", category="search"):
+                            fallbacks = walk(chunk, fates)
+                        live.set_attrs(scalar_fallbacks=fallbacks)
+                        with span("sweep.materialize", category="search"):
+                            materialize(fates)
+                finally:  # counters advance once per chunk
+                    added = {f"skipped.{category}": total - counted[1].get(
+                        category, 0) for category, total
+                        in report.skipped.items()}
+                    added["evaluated"] = report.evaluated - counted[0]
+                    for name, amount in added.items():
+                        if amount:
+                            metrics.counter(f"sweep.{name}").inc(amount)
+                    heartbeat.set(time.monotonic())
                 chunk_seconds.observe(time.perf_counter() - chunk_started)
                 if interrupted:
                     break
@@ -628,9 +654,9 @@ def run_sweep(template: AMPeD, global_batch: int,
                                        cumulative["skipped"])
                 journal.close()
 
-    results.sort(key=lambda result: result.batch_time_s)
-    if max_results is not None:
-        results = results[:max_results]
+    if max_results is None:
+        top.sort()
+    results = [entry[2] for entry in top]
     report.partial = interrupted
     if interrupted:
         _LOG.warning(

@@ -61,12 +61,13 @@ import time
 from itertools import chain
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import MappingError
 from repro.obs.metrics import VECTORIZED_STATS
+from repro.obs.trace import span
 from repro.parallelism.microbatch import microbatch_size
 from repro.parallelism.spec import ParallelismSpec
 from repro.search.compiler import (
@@ -79,7 +80,7 @@ from repro.search.tuning import candidate_microbatch_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
     from repro.core.model import AMPeD
-    from repro.search.dse import CandidateOutcome
+    from repro.search.dse import ExplorationResult
 
 #: Candidates evaluated per array batch inside ``run_sweep`` — bounds
 #: array memory and keeps the journal/SIGINT boundary responsive.
@@ -473,13 +474,7 @@ class BoundBatch:
             usable &= self._lane_fits
         filled = np.where(usable, times, np.inf)
         best = np.minimum.reduceat(filled, self._offsets)
-        hit = filled == np.repeat(best, self._counts)
-        n_lanes = filled.shape[0]
-        lane_ids = np.arange(n_lanes, dtype=np.intp)
-        picks = np.minimum.reduceat(
-            np.where(hit, lane_ids, n_lanes), self._offsets)
-        feasible = np.isfinite(best)
-        return best, picks, feasible
+        return best, self._first_lanes(filled, best), np.isfinite(best)
 
     def lower_bounds(self):
         """Batched pruner bound: one value per candidate, NaN when no
@@ -496,17 +491,20 @@ class BoundBatch:
                             self._eff_vals[self._lane_eff_idx], -np.inf)
         best_eff = np.maximum.reduceat(eff_lane, self._offsets)
         feasible = best_eff > 0.0
-        hit = eff_lane == np.repeat(best_eff, self._counts)
-        n_lanes = eff_lane.shape[0]
-        lane_ids = np.arange(n_lanes, dtype=np.intp)
-        picks = np.minimum.reduceat(
-            np.where(hit, lane_ids, n_lanes), self._offsets)
-        picks = np.where(feasible, picks, 0)
+        picks = np.where(feasible, self._first_lanes(eff_lane, best_eff), 0)
         rows = np.arange(len(self.specs), dtype=np.intp)
         components = self._components_chunked(
             rows, self._lane_eff_idx[picks], None)
         bounds = total_of(components)
         return np.where(feasible, bounds, np.nan)
+
+    def _first_lanes(self, values, best):
+        """Per candidate, the first of its lanes whose value is its
+        ``best``."""
+        n_lanes = values.shape[0]
+        return np.minimum.reduceat(np.where(
+            values == np.repeat(best, self._counts),
+            np.arange(n_lanes, dtype=np.intp), n_lanes), self._offsets)
 
 
 def _fill(compiled: CompiledSweep, tables: List[dict], term, *columns,
@@ -657,102 +655,130 @@ class VectorizedSweep:
 
 
 # ---------------------------------------------------------------------------
-# Candidate-outcome materialization (explore / run_sweep integration)
+# Chunk evaluation (run_sweep integration)
 # ---------------------------------------------------------------------------
+
+
+class ChunkOutcomes:
+    """One chunk's candidate fates as columns, from :func:`evaluate_chunk`.
+
+    ``bounds`` holds the pruner bound per candidate (NaN: provably
+    infeasible; ``None`` unless asked for), ``times`` the batch time of
+    each candidate the arrays decided (NaN otherwise) and ``memory``
+    each ``memory_capacity`` skip's detail, by index; the scalar route
+    takes the rest.  Only :meth:`results` builds result objects.
+    """
+
+    def __init__(self, n: int, bounds: Optional[List[float]] = None) -> None:
+        self.bounds = bounds
+        self.times: List[float] = [math.nan] * n
+        self.memory: Dict[int, str] = {}
+        #: (specs, picked lane per candidate, bound batch, global batch)
+        self._source: Optional[tuple] = None
+
+    def results(self, indices: Sequence[int]
+                ) -> List["ExplorationResult"]:
+        """The :class:`~repro.search.dse.ExplorationResult` of each
+        decided candidate at ``indices``, as the scalar route builds it."""
+        from repro.core.breakdown import TrainingTimeBreakdown
+        from repro.search.dse import ExplorationResult
+
+        if not indices:
+            return []
+        specs, lanes, batch, global_batch = self._source
+        picked = lanes[list(indices)]
+        rows = zip(*(column[picked].tolist()
+                     for column in batch.lane_components()))
+        out = []
+        for index, values, n_ub in zip(indices, rows,
+                                       batch._lane_nub[picked].tolist()):
+            spec = specs[index]
+            tuned = (spec.with_microbatches(n_ub)
+                     if batch.tune_microbatches else spec)
+            microbatch = microbatch_size(global_batch, tuned)
+            out.append(ExplorationResult(
+                parallelism=tuned,
+                global_batch=global_batch,
+                batch_time_s=self.times[index],
+                breakdown=TrainingTimeBreakdown(
+                    **dict(zip(COMPONENT_NAMES, values))),
+                microbatch_size=microbatch,
+                microbatch_efficiency=batch.compiled.efficiency(microbatch),
+            ))
+        return out
 
 
 def evaluate_chunk(template: "AMPeD", compiled: CompiledSweep,
                    specs: Sequence[ParallelismSpec], global_batch: int,
                    tune_microbatches: bool, need_bounds: bool = False,
-                   enforce_memory: bool = False
-                   ) -> Tuple[Optional[List[float]],
-                              List[Optional["CandidateOutcome"]]]:
-    """Evaluate one candidate chunk into pruner bounds and outcomes.
+                   enforce_memory: bool = False) -> ChunkOutcomes:
+    """Evaluate one candidate chunk as columns (:class:`ChunkOutcomes`),
+    building no per-candidate object.
 
-    Validates ``specs``, then projects and batch-fills them and
-    evaluates them as one array program.  Returns ``(bounds,
-    outcomes)``: ``bounds`` is the pruner bound per
-    candidate (NaN = provably infeasible; ``None`` when not requested),
-    and ``outcomes`` holds one
-    :class:`~repro.search.dse.CandidateOutcome` per candidate, with
-    ``None`` marking candidates the array path cannot decide exactly —
-    invalid mappings, all-lanes-infeasible candidates, non-finite
-    results — which the caller re-evaluates through the scalar route
-    (it reproduces the exact error categories and detail strings).
-    With ``enforce_memory`` the memory screen masks the lanes, and a
+    One span per stage: ``sweep.validate`` checks the specs,
+    ``sweep.bind`` projects and batch-fills them, ``sweep.bounds`` takes
+    the pruner bounds (when ``need_bounds``) and ``sweep.reduce`` picks
+    each candidate's best lane.  A candidate is decided when that lane
+    is finite and each of its components is finite and non-negative
+    (:class:`~repro.core.breakdown.TrainingTimeBreakdown`'s guard).
+    Invalid mappings, candidates without a feasible lane and lanes that
+    fail the guard stay undecided, for the scalar route, which
+    reproduces their exact categories and details.  With
+    ``enforce_memory`` the memory screen masks the lanes, and a
     candidate none of whose lanes fits is a ``memory_capacity`` skip
     (untuned, only once its microbatch holds a sequence, as in the
-    scalar route).  A ``per_layer`` template gets bounds only; every
-    outcome is then ``None``.
+    scalar route).  A ``per_layer`` template gets bounds only.
     """
-    from repro.core.breakdown import TrainingTimeBreakdown
     from repro.errors import ReproError
-    from repro.search.dse import (
-        NO_MICROBATCH_FITS,
-        SKIP_MEMORY_CAPACITY,
-        CandidateOutcome,
-        ExplorationResult,
-    )
+    from repro.search.dse import NO_MICROBATCH_FITS
 
     n = len(specs)
-    valid = list(range(n))
-    if template.validate:
-        valid = []
-        for index, spec in enumerate(specs):
-            try:
-                spec.validate_against(template.system)
-                spec.validate_against_model(template.model.n_layers,
-                                            template.model.n_heads)
-            except ReproError:
-                continue  # scalar fallback raises/categorizes exactly
-            valid.append(index)
-    outcomes: List[Optional[CandidateOutcome]] = [None] * n
-    bounds = [math.nan] * n if need_bounds else None
+    with span("sweep.validate", category="search"):
+        valid = list(range(n))
+        if template.validate:
+            valid = []
+            for index, spec in enumerate(specs):
+                try:
+                    spec.validate_against(template.system)
+                    spec.validate_against_model(template.model.n_layers,
+                                                template.model.n_heads)
+                except ReproError:
+                    continue  # scalar fallback raises/categorizes exactly
+                valid.append(index)
+    chunk = ChunkOutcomes(n, [math.nan] * n if need_bounds else None)
     arrays = template.evaluation_path != "per_layer"
     if not valid or not (arrays or need_bounds):
-        return bounds, outcomes
-    batch = BoundBatch(compiled, [specs[i] for i in valid],
-                       tune_microbatches, enforce_memory and arrays)
-
-    if bounds is not None:
-        for index, bound in zip(valid, batch.lower_bounds().tolist()):
-            bounds[index] = bound
+        return chunk
+    with span("sweep.bind", category="search"):
+        batch = BoundBatch(compiled, [specs[i] for i in valid],
+                           tune_microbatches, enforce_memory and arrays)
+    if need_bounds:
+        with span("sweep.bounds", category="search"):
+            for index, bound in zip(valid, batch.lower_bounds().tolist()):
+                chunk.bounds[index] = bound
     if not arrays:
-        return bounds, outcomes
-    best, picks, feasible = batch.best_lanes()
-    columns = [column.tolist() for column in batch.lane_components()]
-    picks_list = picks.tolist()
-    feasible_list = feasible.tolist()
-    nubs = batch._lane_nub.tolist()
-    fits_list = (np.logical_or.reduceat(batch._lane_fits, batch._offsets)
-                 .tolist() if enforce_memory else None)
-    # Untuned, lane j is candidate j, sized before its memory check.
-    sized_list = batch._lane_ok.tolist() if enforce_memory else None
-
-    for j, index in enumerate(valid):
-        spec = specs[index]
-        if not feasible_list[j]:
-            if fits_list is not None and not fits_list[j] and (
-                    tune_microbatches or sized_list[j]):
-                outcomes[index] = CandidateOutcome(
-                    spec=spec, skip_category=SKIP_MEMORY_CAPACITY,
-                    detail=NO_MICROBATCH_FITS if tune_microbatches else
-                    f"microbatch {microbatch_size(global_batch, spec):g} "
-                    f"does not fit in HBM")
-            continue  # scalar fallback reproduces the exact failure
-        lane = picks_list[j]
-        breakdown = TrainingTimeBreakdown(**{
-            name: column[lane]
-            for name, column in zip(COMPONENT_NAMES, columns)})
-        tuned = (spec.with_microbatches(nubs[lane])
-                 if tune_microbatches else spec)
-        microbatch = microbatch_size(global_batch, tuned)
-        outcomes[index] = CandidateOutcome(spec=spec, result=ExplorationResult(
-            parallelism=tuned,
-            global_batch=global_batch,
-            batch_time_s=breakdown.total,
-            breakdown=breakdown,
-            microbatch_size=microbatch,
-            microbatch_efficiency=compiled.efficiency(microbatch),
-        ))
-    return bounds, outcomes
+        return chunk
+    with span("sweep.reduce", category="search"):
+        best, picks, feasible = batch.best_lanes()
+        picked = np.stack([column[picks]
+                           for column in batch.lane_components()])
+        decided = feasible & ((picked >= 0.0) & (picked < np.inf)).all(0)
+        lanes = np.zeros(n, dtype=np.intp)
+        lanes[valid] = picks
+        times = np.full(n, np.nan)
+        times[valid] = np.where(decided, best, np.nan)
+        chunk.times = times.tolist()
+        chunk._source = (specs, lanes, batch, global_batch)
+        if enforce_memory:
+            # Untuned, lane j is candidate j, sized before its memory check.
+            full = ~feasible & ~np.logical_or.reduceat(batch._lane_fits,
+                                                       batch._offsets)
+            if not tune_microbatches:
+                full &= batch._lane_ok
+            for index in np.array(valid)[full].tolist():
+                detail = NO_MICROBATCH_FITS
+                if not tune_microbatches:
+                    size = microbatch_size(global_batch, specs[index])
+                    detail = f"microbatch {size:g} does not fit in HBM"
+                chunk.memory[index] = detail
+    return chunk

@@ -16,6 +16,7 @@ its ``evaluate`` walks the scalar route candidate by candidate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -76,32 +77,37 @@ def test_chunk_matches_scalar_paths(model_key, options, tune, system):
         evaluation_path="compiled", **options)
     mappings = enumerate_mappings(system, MODELS[model_key])
     compiled = compile_sweep(template, GLOBAL_BATCH)
-    _, outcomes = evaluate_chunk(template, compiled, mappings,
-                                 GLOBAL_BATCH, tune_microbatches=tune)
-    assert len(outcomes) == len(mappings)
-    for spec, outcome in zip(mappings, outcomes):
+    chunk = evaluate_chunk(template, compiled, mappings, GLOBAL_BATCH,
+                           tune_microbatches=tune)
+    assert len(chunk.times) == len(mappings)
+    decided = [index for index, batch_time in enumerate(chunk.times)
+               if not math.isnan(batch_time)]
+    results = dict(zip(decided, chunk.results(decided)))
+    for index, spec in enumerate(mappings):
         scalar = evaluate_candidate(template, spec, GLOBAL_BATCH,
                                     tune_microbatches=tune)
         reference = evaluate_candidate(
             replace(template, evaluation_path="per_layer"), spec,
             GLOBAL_BATCH, tune_microbatches=tune)
-        if outcome is None:
+        if index not in results:
             # The chunk defers to scalar evaluation exactly where the
             # tables cannot decide; the sweep runtime then reproduces
             # the scalar fate verbatim.
             assert not scalar.evaluated
             continue
+        result = results[index]
         assert scalar.evaluated and reference.evaluated
-        assert outcome.result.batch_time_s \
+        assert chunk.times[index] == result.batch_time_s \
             == scalar.result.batch_time_s  # bit-exact vs compiled
-        assert outcome.result.breakdown.as_dict() \
+        assert result.breakdown.as_dict() \
             == scalar.result.breakdown.as_dict()
+        assert result.parallelism == scalar.result.parallelism
         scale = max(abs(reference.result.batch_time_s), 1e-300)
-        assert abs(outcome.result.batch_time_s
+        assert abs(result.batch_time_s
                    - reference.result.batch_time_s) / scale \
             <= RELATIVE_TOLERANCE, (
                 f"{model_key}/{spec.describe()}: vectorized "
-                f"{outcome.result.batch_time_s!r} vs per-layer "
+                f"{result.batch_time_s!r} vs per-layer "
                 f"{reference.result.batch_time_s!r}")
 
 

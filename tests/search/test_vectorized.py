@@ -402,21 +402,25 @@ class TestBatchedReductions:
 class TestEvaluateChunk:
     def test_outcomes_match_scalar_evaluation(self, template, compiled,
                                               mappings):
-        bounds, outcomes = evaluate_chunk(
+        chunk = evaluate_chunk(
             template, compiled, mappings, GLOBAL_BATCH,
             tune_microbatches=True, need_bounds=True)
-        assert len(outcomes) == len(mappings) == len(bounds)
-        for spec, outcome in zip(mappings, outcomes):
+        assert len(chunk.times) == len(mappings) == len(chunk.bounds)
+        assert chunk.memory == {}
+        decided = [index for index, batch_time in enumerate(chunk.times)
+                   if not math.isnan(batch_time)]
+        results = dict(zip(decided, chunk.results(decided)))
+        for index, spec in enumerate(mappings):
             reference = evaluate_candidate(template, spec, GLOBAL_BATCH,
                                            tune_microbatches=True)
-            if outcome is None:
+            if index not in results:
                 # Only undecidable candidates defer to the scalar path,
                 # and those are exactly the non-evaluated ones here.
                 assert not reference.evaluated
                 continue
             assert reference.evaluated
-            result = outcome.result
-            assert result.batch_time_s \
+            result = results[index]
+            assert chunk.times[index] == result.batch_time_s \
                 == reference.result.batch_time_s  # bit-exact
             assert result.breakdown.as_dict() \
                 == reference.result.breakdown.as_dict()
